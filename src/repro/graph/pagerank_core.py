@@ -10,22 +10,31 @@ from .csr import CSRMatrix
 
 def spmv(matrix: CSRMatrix, x: np.ndarray) -> np.ndarray:
     """y = A x for a CSR matrix (vectorised, no scipy dependency)."""
-    if x.shape[0] < (matrix.indices.max(initial=-1) + 1):
+    return _spmv_coo(
+        _expand_rows(matrix), matrix.indices, matrix.values, matrix.n_rows, x
+    )
+
+
+def _spmv_coo(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    values: np.ndarray,
+    n_rows: int,
+    x: np.ndarray,
+) -> np.ndarray:
+    """y = A x from A's COO triple; callers sweeping one matrix expand once."""
+    if x.shape[0] < (cols.max(initial=-1) + 1):
         raise WorkloadError(
             f"vector of length {x.shape[0]} too short for matrix columns"
         )
-    if matrix.nnz == 0:
-        return np.zeros(matrix.n_rows)
-    products = matrix.values * x[matrix.indices]
+    if cols.size == 0:
+        return np.zeros(n_rows)
     # Weighted bincount is a scatter-add per stored element: immune to
     # the empty-row pitfalls of segment reductions (np.add.reduceat
     # mis-handles rows whose start index equals the array length or
     # the next row's start), accumulates per row in element order like
     # np.add.at (bit-identical), and runs as a single C loop.
-    rows = np.repeat(
-        np.arange(matrix.n_rows, dtype=np.int64), np.diff(matrix.indptr)
-    )
-    return np.bincount(rows, weights=products, minlength=matrix.n_rows)
+    return np.bincount(rows, weights=values * x[cols], minlength=n_rows)
 
 
 def pagerank(

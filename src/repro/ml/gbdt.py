@@ -64,10 +64,54 @@ def quantise_features(features: np.ndarray, n_bins: int = 64) -> tuple:
         raise WorkloadError(f"n_bins must lie in [2, 256], got {n_bins}")
     quantiles = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
     edges = np.quantile(features, quantiles, axis=0)  # (n_bins-1, d)
+    return _bin_codes(features, edges), edges
+
+
+#: Rows binned per block: a block's index and probe temporaries stay in
+#: cache however many rows the caller passes.
+_BIN_BLOCK_ROWS = 1024
+
+
+def _bin_codes(features: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Per-column ``np.searchsorted(edges[:, j], features[:, j])`` as uint8.
+
+    A branch-free lower-bound search over all columns at once: each
+    column's sorted edges are padded with +inf to a power-of-two width,
+    and every value takes the same log2(width) halving steps, adding
+    ``step`` to its position whenever the probed edge is ``< x``.  That
+    counts the edges strictly below ``x``, which is exactly
+    ``searchsorted(side="left")`` for non-NaN ``x``, ties at an edge
+    and +-inf included (the +inf padding is never ``< x``).
+    ``searchsorted`` sorts NaN after every number, so a NaN value gets
+    the column's count of non-NaN edges: ``len(edges)`` for finite ones.
+    """
+    n_edges, d = edges.shape
+    if features.ndim != 2 or features.shape[1] != d:
+        raise WorkloadError(
+            f"features of shape {features.shape} do not match "
+            f"{d} binned columns"
+        )
+    width = 1 << n_edges.bit_length()
+    padded = np.full((d, width), np.inf)
+    padded[:, :n_edges] = edges.T
+    table = padded.ravel()
+    base = np.arange(d) * width
+    steps = []
+    step = width // 2
+    while step:
+        steps.append((step, table[step - 1:]))
+        step //= 2
     codes = np.empty(features.shape, dtype=np.uint8)
-    for j in range(features.shape[1]):
-        codes[:, j] = np.searchsorted(edges[:, j], features[:, j]).astype(np.uint8)
-    return codes, edges
+    for start in range(0, features.shape[0], _BIN_BLOCK_ROWS):
+        block = features[start:start + _BIN_BLOCK_ROWS]
+        pos = np.broadcast_to(base, block.shape).copy()
+        for step, probe in steps:
+            pos += (probe.take(pos) < block) * step
+        codes[start:start + _BIN_BLOCK_ROWS] = pos - base
+    nan_rows, nan_cols = np.nonzero(np.isnan(features))
+    if nan_rows.size:
+        codes[nan_rows, nan_cols] = (~np.isnan(edges)).sum(axis=0)[nan_cols]
+    return codes
 
 
 def _best_split(
@@ -144,17 +188,48 @@ def _grow_tree(
     )
 
 
-def _predict_tree(node: TreeNode, codes: np.ndarray) -> np.ndarray:
-    """Vectorised traversal of one tree over binned rows."""
+def _leaf_values(
+    node: TreeNode,
+    columns: np.ndarray,
+    rows: Optional[np.ndarray],
+    out: np.ndarray,
+) -> None:
+    """Write the leaf value each row reaches in one tree into ``out``.
+
+    ``columns`` is the code matrix transposed (one contiguous row of
+    codes per feature) and ``rows`` the indices of the rows that reached
+    ``node`` (``None`` at the root: every row).  Rows are split by index,
+    so no node copies the code rows it routes.
+    """
     if node.is_leaf:
-        return np.full(codes.shape[0], node.value)
-    out = np.empty(codes.shape[0])
-    goes_left = codes[:, node.feature] <= node.threshold_bin
-    if node.left is not None:
-        out[goes_left] = _predict_tree(node.left, codes[goes_left])
-    if node.right is not None:
-        out[~goes_left] = _predict_tree(node.right, codes[~goes_left])
-    return out
+        if rows is None:
+            out.fill(node.value)
+        else:
+            out[rows] = node.value
+        return
+    if node.left is None or node.right is None:
+        raise WorkloadError(
+            f"split node on feature {node.feature} is missing a child"
+        )
+    column = columns[node.feature]
+    if rows is None:
+        goes_left = column <= node.threshold_bin
+        left, right = np.flatnonzero(goes_left), np.flatnonzero(~goes_left)
+    else:
+        goes_left = column[rows] <= node.threshold_bin
+        left, right = rows[goes_left], rows[~goes_left]
+    _leaf_values(node.left, columns, left, out)
+    _leaf_values(node.right, columns, right, out)
+
+
+def _add_trees(
+    trees: List[TreeNode], columns: np.ndarray, out: np.ndarray
+) -> None:
+    """``out += tree(rows)`` for each tree in order: one addition per row."""
+    leaves = np.empty(out.shape[0])
+    for tree in trees:
+        _leaf_values(tree, columns, None, leaves)
+        out += leaves
 
 
 @dataclass
@@ -172,18 +247,12 @@ class GBDTModel:
 
     def quantise(self, features: np.ndarray) -> np.ndarray:
         """Bin raw features with the training-time edges."""
-        codes = np.empty(features.shape, dtype=np.uint8)
-        for j in range(features.shape[1]):
-            codes[:, j] = np.searchsorted(
-                self.bin_edges[:, j], features[:, j]
-            ).astype(np.uint8)
-        return codes
+        return _bin_codes(features, self.bin_edges)
 
     def predict_codes(self, codes: np.ndarray) -> np.ndarray:
         """Predict from already-binned rows (the CSD-friendly hot path)."""
         out = np.full(codes.shape[0], self.base_score)
-        for tree in self.trees:
-            out += _predict_tree(tree, codes)
+        _add_trees(self.trees, np.ascontiguousarray(codes.T), out)
         return out
 
     def predict(self, features: np.ndarray) -> np.ndarray:
@@ -251,6 +320,7 @@ class GBDTRegressor:
         predictions = np.full(features.shape[0], base_score)
         trees: List[TreeNode] = []
         all_rows = np.ones(features.shape[0], dtype=bool)
+        columns = np.ascontiguousarray(codes.T)
         for _ in range(self.n_trees):
             residuals = targets - predictions
             tree = _grow_tree(
@@ -264,7 +334,7 @@ class GBDTRegressor:
                 learning_rate=self.learning_rate,
             )
             trees.append(tree)
-            predictions += _predict_tree(tree, codes)
+            _add_trees([tree], columns, predictions)
         return GBDTModel(
             trees=trees, bin_edges=edges, base_score=base_score, n_bins=self.n_bins
         )

@@ -92,15 +92,16 @@ def kmeans_update(
     """
     d = points.shape[1]
     if points.dtype == np.float64:
-        # Weighted bincount accumulates per bin in element order —
-        # the same addition sequence as an unbuffered scatter-add, so
-        # results are bit-identical to np.add.at while running one
-        # C loop per dimension instead of one dispatch per element.
-        sums = np.empty((k, d), dtype=np.float64)
-        for dim in range(d):
-            sums[:, dim] = np.bincount(
-                labels, weights=points[:, dim], minlength=k
-            )
+        # One weighted bincount over the C-order points, with bin
+        # label * d + dim for each element.  bincount accumulates each
+        # bin in element order, i.e. cluster (l, dim) sums its points in
+        # row order: the same addition sequence as an unbuffered
+        # scatter-add, so sums are bit-identical to np.add.at while
+        # running a single C loop.
+        bins = (np.asarray(labels)[:, None] * d + np.arange(d)).ravel()
+        sums = np.bincount(
+            bins, weights=points.ravel(), minlength=k * d
+        ).reshape(k, d)
     else:
         # bincount always accumulates in float64; preserve the exact
         # same-dtype accumulation for non-f64 inputs.

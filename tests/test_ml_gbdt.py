@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.ml.gbdt import GBDTRegressor, quantise_features
+from repro.ml.gbdt import GBDTModel, GBDTRegressor, TreeNode, quantise_features
 
 
 def make_data(n=2000, seed=9):
@@ -100,3 +100,14 @@ class TestInference:
         model = GBDTRegressor(n_trees=7).fit(features, targets)
         assert model.n_trees == 7
         assert all(tree.node_count() >= 1 for tree in model.trees)
+
+    def test_split_with_missing_child_is_rejected(self):
+        # Rows routed to a missing child used to come back as
+        # uninitialised memory; such a tree cannot be traversed.
+        for left, right in ((TreeNode(value=1.0), None), (None, TreeNode(value=1.0))):
+            tree = TreeNode(feature=0, threshold_bin=3, left=left, right=right)
+            model = GBDTModel(
+                trees=[tree], bin_edges=np.zeros((7, 1)), base_score=0.0, n_bins=8
+            )
+            with pytest.raises(WorkloadError, match="missing a child"):
+                model.predict_codes(np.arange(8, dtype=np.uint8)[:, None])
