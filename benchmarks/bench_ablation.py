@@ -21,7 +21,7 @@ from repro.baselines import run_c_baseline
 from repro.baselines.static_isp import exhaustive_best_plan, ground_truth_estimates
 from repro.config import SystemConfig
 from repro.hw.topology import build_machine
-from repro.runtime.activepy import ActivePy, run_plan
+from repro.runtime.activepy import ActivePy, RunOptions, run_plan
 from repro.runtime.codegen import ExecutionMode
 from repro.runtime.planner import CSD, Plan, assign_csd_code, projected_time
 from repro.units import GB
@@ -198,7 +198,7 @@ def test_ablation_monitor_threshold(benchmark):
             )
             report = ActivePy(config).run(
                 workload.program, workload.dataset,
-                progress_triggers=[(0.5, 0.1)],
+                options=RunOptions(progress_triggers=((0.5, 0.1),)),
             )
             rows.append((
                 threshold,

@@ -17,7 +17,6 @@ from pathlib import Path
 
 from repro.wallbench import (
     WARM_WORKLOADS,
-    bench_engine_microbench,
     bench_parallel_campaign,
     bench_warm_run,
     write_wall_bench,
@@ -69,19 +68,3 @@ def test_parallel_campaign_speedup(benchmark):
     # The layer (cache + workers) must beat the pre-layer serial loop.
     assert campaign["speedup"] >= 3.0
 
-
-def test_engine_microbench_speedup(benchmark):
-    micro = run_once(benchmark, bench_engine_microbench)
-
-    print(f"\n\nevent engine: {micro['events']} event(s) scheduled + drained, "
-          f"best-of-3 wall time")
-    print(f"object engine : {micro['object_events_per_second'] / 1e6:.2f} M events/s")
-    print(f"array engine  : {micro['array_events_per_second'] / 1e6:.2f} M events/s "
-          f"({micro['speedup']:.2f}x)")
-
-    write_wall_bench({"engine_microbench": micro},
-                     root=_REPO_ROOT, merge=True)
-    # The tentpole claim: struct-of-arrays storage + batched firing
-    # make the event engine at least 5x faster than the heap of
-    # Event objects it replaced.
-    assert micro["speedup"] >= 5.0

@@ -11,7 +11,7 @@ Run::
     python examples/adaptive_migration.py
 """
 
-from repro import ActivePy, build_machine, get_workload, run_c_baseline
+from repro import ActivePy, RunOptions, build_machine, get_workload, run_c_baseline
 from repro.units import format_seconds
 
 
@@ -21,7 +21,8 @@ def run_scenario(migration_enabled: bool):
     runtime = ActivePy(migration_enabled=migration_enabled)
     report = runtime.run(
         workload.program, workload.dataset, machine=machine,
-        progress_triggers=[(0.5, 0.1)],  # stress at 50% ISP progress
+        # Stress at 50% ISP progress.
+        options=RunOptions(progress_triggers=((0.5, 0.1),)),
     )
     return report
 

@@ -10,7 +10,14 @@ Run::
     python examples/tpch_analytics.py
 """
 
-from repro import ActivePy, StaticIspBaseline, build_machine, get_workload, run_c_baseline
+from repro import (
+    ActivePy,
+    RunOptions,
+    StaticIspBaseline,
+    build_machine,
+    get_workload,
+    run_c_baseline,
+)
 from repro.units import format_seconds
 from repro.workloads.tpch.queries import q1_reference, q6_reference, summarize
 
@@ -48,7 +55,7 @@ def run_contention_story() -> None:
         adaptive_machine = build_machine()
         adaptive = ActivePy().run(
             workload.program, workload.dataset, machine=adaptive_machine,
-            progress_triggers=[(0.5, 0.1)],
+            options=RunOptions(progress_triggers=((0.5, 0.1),)),
         )
         migrated = "migrated" if adaptive.result.migrated else "stayed"
         print(

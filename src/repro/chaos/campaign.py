@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .._deprecations import warn_once
 from ..config import DEFAULT_CONFIG, SystemConfig
 from ..errors import ChaosError
 from ..faults.spec import LOUD_KINDS, SILENT_KINDS, FaultPlan
@@ -43,9 +42,8 @@ class ChaosRunOutcome:
 
     ``fault_event_count`` counts every :class:`~repro.faults.FaultEvent`
     the run logged — injected faults *and* the runtime's recovery
-    actions (the old name ``faults_injected`` undersold what it
-    counted; it survives as a deprecated property).  ``metrics`` is the
-    run's final observability snapshot when the campaign collects one.
+    actions.  ``metrics`` is the run's final observability snapshot
+    when the campaign collects one.
     """
 
     workload: str
@@ -59,18 +57,6 @@ class ChaosRunOutcome:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    @property
-    def faults_injected(self) -> int:
-        """Deprecated alias for :attr:`fault_event_count`."""
-        warn_once(
-            "ChaosRunOutcome.faults_injected",
-            "ChaosRunOutcome.faults_injected is deprecated and will be "
-            "removed; read fault_event_count (same value, honest name: it "
-            "counts recovery actions too, not just injected faults)",
-            stacklevel=2,
-        )
-        return self.fault_event_count
 
     def summary(self) -> Dict[str, Any]:
         """The judged outcome, JSON-ready (metrics omitted)."""

@@ -570,11 +570,6 @@ def _cmd_bench(args) -> int:
           f"{campaign['serial_wall_seconds']:.2f} s serial baseline -> "
           f"{campaign['parallel_wall_seconds']:.2f} s "
           f"({campaign['speedup']:.2f}x)")
-    micro = payload["engine_microbench"]
-    print(f"event engine: {micro['events']} event(s)  "
-          f"{micro['object_events_per_second'] / 1e6:.2f} M/s object -> "
-          f"{micro['array_events_per_second'] / 1e6:.2f} M/s array "
-          f"({micro['speedup']:.2f}x)")
     root_path, canonical = write_wall_bench(payload, workers=args.workers)
     print(f"wrote {root_path}")
     print(f"wrote {canonical}")

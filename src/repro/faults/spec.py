@@ -10,6 +10,7 @@ byte-identical fault logs (the determinism guarantee the tests pin).
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
@@ -192,10 +193,14 @@ class FaultSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, FaultKind):
             raise FaultError(f"kind must be a FaultKind, got {self.kind!r}")
-        if self.at_time < 0:
-            raise FaultError(f"at_time must be non-negative, got {self.at_time}")
-        if self.duration_s < 0:
-            raise FaultError(f"duration_s must be non-negative, got {self.duration_s}")
+        if not (math.isfinite(self.at_time) and self.at_time >= 0):
+            raise FaultError(
+                f"at_time must be finite and non-negative, got {self.at_time}"
+            )
+        if not (math.isfinite(self.duration_s) and self.duration_s >= 0):
+            raise FaultError(
+                f"duration_s must be finite and non-negative, got {self.duration_s}"
+            )
         if self.count < 1:
             raise FaultError(f"count must be at least 1, got {self.count}")
         if self.retries < 1:

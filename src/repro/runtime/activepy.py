@@ -8,8 +8,7 @@ experiments and tests can audit each stage.
 
 Run-shaping knobs (tracing, progress triggers, fault plans, an
 observability handle) travel in a keyword-only :class:`RunOptions`
-dataclass; the pre-redesign ``trace=``/``progress_triggers=`` keywords
-still work for one release behind a :class:`DeprecationWarning`.
+dataclass.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .._deprecations import warn_once
 from ..analysis.timeline import ExecutionTimeline
 from ..config import DEFAULT_CONFIG, SystemConfig
 from ..errors import PlanningError
@@ -41,11 +39,6 @@ __all__ = ["ActivePy", "ActivePyReport", "PLAN_MODES", "RunOptions", "run_plan"]
 #: or the branch-and-bound speculative search over forked simulator
 #: states (:mod:`repro.runtime.plansearch`).
 PLAN_MODES = ("greedy", "search")
-
-#: Distinguishes "caller never passed the deprecated keyword" from any
-#: legitimate value (including None/False/()).
-_UNSET: Any = object()
-
 
 @dataclass(frozen=True)
 class RunOptions:
@@ -227,26 +220,19 @@ class ActivePy:
         options: Optional[RunOptions] = None,
         obs: Optional[Observability] = None,
         fault_plan: Optional[FaultPlan] = None,
-        trace: Any = _UNSET,
-        progress_triggers: Any = _UNSET,
     ) -> ActivePyReport:
         """Run an unannotated program end to end.
 
         Run-shaping knobs travel in ``options`` (a :class:`RunOptions`);
         ``obs`` and ``fault_plan`` are accepted directly as conveniences
-        and override the corresponding ``options`` fields.  The old
-        ``trace=``/``progress_triggers=`` keywords still work behind a
-        :class:`DeprecationWarning`.
+        and override the corresponding ``options`` fields.
 
         Injected faults and the runtime's recovery actions land on
         ``result.fault_events``; with tracing the report carries an
         :class:`ExecutionTimeline` of every span, and with an enabled
         ``obs`` handle ``report.obs`` exposes the collected metrics.
         """
-        opts = self._resolve_options(
-            options, obs=obs, fault_plan=fault_plan,
-            trace=trace, progress_triggers=progress_triggers,
-        )
+        opts = self._resolve_options(options, obs=obs, fault_plan=fault_plan)
         if machine is None:
             machine = build_machine(self.config, obs=opts.obs)
         elif opts.obs is not None and machine.obs is not opts.obs:
@@ -453,28 +439,9 @@ class ActivePy:
         options: Optional[RunOptions],
         obs: Optional[Observability],
         fault_plan: Optional[FaultPlan],
-        trace: Any,
-        progress_triggers: Any,
     ) -> RunOptions:
-        """Fold direct and deprecated keywords into one RunOptions."""
+        """Fold the direct ``obs``/``fault_plan`` keywords into one RunOptions."""
         opts = options if options is not None else RunOptions()
-        if trace is not _UNSET:
-            warn_once(
-                "ActivePy.run:trace",
-                "ActivePy.run(trace=...) is deprecated and will be removed; "
-                "pass options=RunOptions(trace=...) instead",
-                stacklevel=3,
-            )
-            opts = replace(opts, trace=bool(trace))
-        if progress_triggers is not _UNSET:
-            warn_once(
-                "ActivePy.run:progress_triggers",
-                "ActivePy.run(progress_triggers=...) is deprecated and will "
-                "be removed; pass options=RunOptions(progress_triggers=...) "
-                "instead",
-                stacklevel=3,
-            )
-            opts = replace(opts, progress_triggers=tuple(progress_triggers))
         if fault_plan is not None:
             opts = replace(opts, fault_plan=fault_plan)
         if obs is not None:

@@ -62,7 +62,7 @@ class CoScheduleResult:
 def csd_busy_windows(report: ActivePyReport) -> List[BusyWindow]:
     """The CSD busy intervals of a traced run."""
     if report.timeline is None:
-        raise ReproError("csd_busy_windows needs a run with trace=True")
+        raise ReproError("csd_busy_windows needs a run with RunOptions(trace=True)")
     windows = [
         BusyWindow(span.start, span.end)
         for span in report.timeline.spans

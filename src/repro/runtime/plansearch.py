@@ -9,12 +9,11 @@ conservatively keeps the conversion on the host while the oracle
 offloads it.  No amount of re-fitting at sample scale recovers this —
 the bend in the volume curve is simply not observable from prefixes.
 
-This module takes the other door the array engine opened (PR 8's O(1)
-copy-on-write :meth:`~repro.sim.Simulator.snapshot` /
-:meth:`~repro.sim.Simulator.restore`): instead of *modelling* a
-candidate assignment, **speculatively execute it on a forked simulator
-state** and read the clock.  The search is a priority-queue
-branch-and-bound over partial host/CSD assignments:
+Instead of *modelling* a candidate assignment, this module
+**speculatively executes it on a forked simulator state**
+(:meth:`~repro.sim.Simulator.snapshot` /
+:meth:`~repro.sim.Simulator.restore`) and reads the clock.  The search
+is a priority-queue branch-and-bound over partial host/CSD assignments:
 
 * every node extension is simulated exactly once on a fork of the
   speculative machine (the fault-free stepper
@@ -272,10 +271,10 @@ class _SpeculativeMachine:
     Built once per search (and once per pool worker): a fresh
     fault-free machine with a disabled observability handle, every
     line's device binary installed, and a base snapshot taken after
-    setup.  Each speculative step restores the base snapshot (O(1),
-    copy-on-write), executes exactly one line through the real
-    executor's fault-free stepper, and reads the elapsed simulated
-    time off the clock.
+    setup.  Each speculative step restores the base snapshot (cheap:
+    setup leaves no pending events), executes exactly one line through
+    the real executor's fault-free stepper, and reads the elapsed
+    simulated time off the clock.
     """
 
     def __init__(

@@ -1,32 +1,17 @@
-"""The simulator loop and its two interchangeable event engines.
+"""The simulator loop: one heapq of scheduled events over a shared clock.
 
 :class:`Simulator` owns the shared :class:`~repro.sim.clock.SimClock`
-and an *event engine*, and runs scheduled callbacks in time order.
-Hardware models use it for asynchronous behaviour — background garbage
-collection, CSE availability changes, congestion onset — while
-straight-line execution cost is accounted synchronously via
-``clock.advance``.
+and runs scheduled callbacks in ``(time, seq)`` order.  Hardware models
+use it for asynchronous behaviour — background garbage collection, CSE
+availability changes, injected faults — while straight-line execution
+cost is accounted synchronously via ``clock.advance``.
 
-Two engines implement the same contract and fire events in bit-identical
-order (time, then scheduling sequence, with cancels honoured at any
-point):
-
-``array`` (the default)
-    The struct-of-arrays engine in :mod:`repro.sim.array_engine`:
-    NumPy timestamp column, batched due-event drains, O(1) live
-    counts, copy-on-write :meth:`Simulator.snapshot` / ``fork``.
-
-``object``
-    The original heap-of-:class:`Event` engine, kept as the reference
-    implementation and for the dual-engine equivalence harness.
-
-Select with ``Simulator(engine="array"|"object")`` or the
-``REPRO_SIM_ENGINE`` environment variable (the keyword wins).
-
-Scheduling returns an opaque :class:`~repro.sim.handle.EventHandle`;
-the mutable :class:`Event` dataclass and :class:`EventQueue` remain
-only as the object engine's internals and as deprecated imports (shimmed
-with a warn-once deprecation via ``repro.sim``).
+Real traffic is tiny: a greedy run schedules no events at all, and a
+chaos run a handful with at most three pending.  So the engine is the
+plain heap idiom: ``(time, seq, handle)`` tuples, where the
+:class:`~repro.sim.handle.EventHandle` is the event record itself and a
+cancel just flips its state (the heap skips it when it surfaces).
+Snapshots copy the pending entries eagerly.
 
 When the simulator carries an enabled :class:`~repro.obs.Observability`
 handle it counts scheduled and fired events (``sim.events_scheduled``,
@@ -38,254 +23,43 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
-
-import numpy as np
+from typing import Callable, List, Optional, Tuple
 
 from ..errors import SimulationError
 from ..obs import Observability
-from .array_engine import _ArrayEngine, _ArrayState
 from .clock import SimClock
-from .handle import EventHandle
+from .handle import FIRED, PENDING, EventHandle
 
-__all__ = [
-    "DEFAULT_ENGINE",
-    "Event",
-    "EventHandle",
-    "EventQueue",
-    "SimSnapshot",
-    "Simulator",
-]
-
-#: Engine used when neither the ``engine=`` keyword nor the
-#: ``REPRO_SIM_ENGINE`` environment variable picks one.
-DEFAULT_ENGINE = "array"
-
-_ENGINE_NAMES = ("array", "object")
-
-
-@dataclass(order=True, slots=True)
-class Event:
-    """A scheduled callback (deprecated; the object engine's internal).
-
-    Events order by time, then by a monotonically increasing sequence
-    number so same-time events fire in scheduling order.  New code
-    should schedule through :class:`Simulator` and hold the returned
-    :class:`EventHandle` instead of touching this class.
-    """
-
-    time: float
-    seq: int
-    action: Callable[[], None] = field(compare=False)
-    label: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
-    #: Owning queue while the event is pending; cleared once popped so
-    #: a late cancel() cannot decrement the live count twice.
-    queue: Optional["EventQueue"] = field(compare=False, repr=False, default=None)
-
-    def cancel(self) -> None:
-        """Mark the event so the simulator skips it when popped."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if self.queue is not None:
-            self.queue._on_cancel()
-            self.queue = None
-
-
-class EventQueue:
-    """A stable min-heap of :class:`Event` objects (deprecated).
-
-    Tracks the live (non-cancelled, not yet popped) count incrementally
-    so ``len()`` is O(1) instead of a scan over the heap.  Kept as the
-    object engine's storage and for legacy imports; new code should use
-    :class:`Simulator` directly.
-    """
-
-    def __init__(self) -> None:
-        self._heap: list[Event] = []
-        self._next_seq = 0
-        self._live = 0
-
-    def __len__(self) -> int:
-        return self._live
-
-    def _on_cancel(self) -> None:
-        self._live -= 1
-
-    def push(self, time: float, action: Callable[[], None], label: str = "") -> Event:
-        """Schedule ``action`` at absolute ``time`` and return the event."""
-        if time < 0:
-            raise SimulationError(f"cannot schedule event at negative time {time}")
-        event = Event(time=time, seq=self._next_seq, action=action, label=label)
-        self._next_seq += 1
-        event.queue = self
-        heapq.heappush(self._heap, event)
-        self._live += 1
-        return event
-
-    def pop(self) -> Optional[Event]:
-        """Remove and return the earliest live event, or None if empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if not event.cancelled:
-                self._live -= 1
-                event.queue = None
-                return event
-        return None
-
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the earliest live event, or None if empty."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
-
-
-class _ObjectEngine:
-    """Adapter putting the legacy heapq engine behind the engine contract."""
-
-    name = "object"
-
-    __slots__ = ("queue", "fired")
-
-    def __init__(self) -> None:
-        self.queue = EventQueue()
-        self.fired = 0
-
-    @property
-    def live(self) -> int:
-        return len(self.queue)
-
-    # --- scheduling -------------------------------------------------------
-
-    def push(self, time: float, action: Callable[[], None], label: str = "") -> EventHandle:
-        return EventHandle(self, self.queue.push(time, action, label))
-
-    def push_batch(
-        self,
-        times: np.ndarray,
-        action: Union[Callable[[], None], Sequence[Callable[[], None]]],
-        labels: Union[str, Sequence[str]] = "",
-    ) -> None:
-        push = self.queue.push
-        single_action = callable(action)
-        single_label = isinstance(labels, str)
-        for position, time in enumerate(times.tolist()):
-            push(
-                time,
-                action if single_action else action[position],
-                labels if single_label else labels[position],
-            )
-
-    # --- handle protocol --------------------------------------------------
-
-    def cancel_key(self, event: Event) -> None:
-        if event.queue is None and not event.cancelled:
-            return  # already popped and fired: cancel is a no-op
-        event.cancel()
-
-    def handle_time(self, event: Event) -> float:
-        return event.time
-
-    def handle_seq(self, event: Event) -> int:
-        return event.seq
-
-    def handle_label(self, event: Event) -> str:
-        return event.label
-
-    def handle_cancelled(self, event: Event) -> bool:
-        return event.cancelled
-
-    # --- firing -----------------------------------------------------------
-
-    def drain(
-        self,
-        deadline: float,
-        clock: Optional[SimClock] = None,
-        counter=None,
-        limit: Optional[int] = None,
-    ) -> int:
-        """Pop-and-fire every live event due at or before ``deadline``."""
-        queue = self.queue
-        fired_total = 0
-        while limit is None or fired_total < limit:
-            next_time = queue.peek_time()
-            if next_time is None or next_time > deadline:
-                break
-            event = queue.pop()
-            assert event is not None
-            if clock is not None:
-                clock.advance_to(max(event.time, clock.now))
-            event.action()
-            self.fired += 1
-            fired_total += 1
-            if counter is not None:
-                counter.inc()
-        return fired_total
-
-    # --- snapshot / restore ----------------------------------------------
-
-    def capture(self):
-        # Events are mutable (the cancelled flag), so an eager copy is
-        # required; the array engine's copy-on-write is the cheap path.
-        heap = [
-            Event(time=e.time, seq=e.seq, action=e.action,
-                  label=e.label, cancelled=e.cancelled)
-            for e in self.queue._heap
-        ]
-        return (heap, self.queue._next_seq, len(self.queue), self.fired)
-
-    def restore(self, state) -> None:
-        heap, next_seq, live, fired = state
-        queue = EventQueue()
-        # Copy again: the snapshot must survive this branch's mutations
-        # and stay restorable.  The copied list is already heap-ordered.
-        queue._heap = [
-            Event(time=e.time, seq=e.seq, action=e.action,
-                  label=e.label, cancelled=e.cancelled)
-            for e in heap
-        ]
-        for event in queue._heap:
-            if not event.cancelled:
-                event.queue = queue
-        queue._next_seq = next_seq
-        queue._live = live
-        self.queue = queue
-        self.fired = fired
+__all__ = ["EventHandle", "SimSnapshot", "Simulator"]
 
 
 @dataclass(frozen=True)
 class SimSnapshot:
-    """Frozen engine + clock state captured by :meth:`Simulator.snapshot`.
+    """Frozen event + clock state captured by :meth:`Simulator.snapshot`.
 
-    Opaque: the payload layout is engine-private.  A snapshot can be
-    restored any number of times (:meth:`Simulator.restore`) and only
-    into a simulator running the same engine kind.
+    ``entries`` holds ``(time, seq, label, action)`` for every pending
+    event in firing order.  A snapshot can be restored any number of
+    times (:meth:`Simulator.restore`).
     """
 
-    engine: str
     clock_now: float
-    state: object = field(repr=False)
+    next_seq: int
+    fired: int
+    entries: Tuple[Tuple[float, int, str, Callable[[], None]], ...] = field(repr=False)
 
     @property
     def pending_events(self) -> int:
         """Live events captured in the snapshot (diagnostics)."""
-        if isinstance(self.state, _ArrayState):
-            return self.state.live
-        return self.state[2]
+        return len(self.entries)
 
 
 class Simulator:
-    """Owns the clock and an event engine; runs events in time order.
+    """Owns the clock and the event heap; runs events in time order.
 
     Construction is keyword-only::
 
-        sim = Simulator(clock=..., obs=..., engine="array")
-
-    ``engine`` defaults to the ``REPRO_SIM_ENGINE`` environment
-    variable, then to :data:`DEFAULT_ENGINE`.
+        sim = Simulator(clock=..., obs=...)
     """
 
     def __init__(
@@ -293,25 +67,17 @@ class Simulator:
         *,
         clock: Optional[SimClock] = None,
         obs: Optional[Observability] = None,
-        engine: Optional[str] = None,
     ) -> None:
         self.clock = clock if clock is not None else SimClock()
         self.obs = obs if obs is not None else Observability.disabled()
-        if engine is None:
-            engine = os.environ.get("REPRO_SIM_ENGINE") or DEFAULT_ENGINE
-        if engine not in _ENGINE_NAMES:
-            raise SimulationError(
-                f"unknown sim engine {engine!r}; expected one of {_ENGINE_NAMES}"
-            )
-        self._engine_name = engine
-        self._engine = _ArrayEngine() if engine == "array" else _ObjectEngine()
+        self._heap: List[Tuple[float, int, EventHandle]] = []
+        self._next_seq = 0
+        #: Pending (scheduled, neither fired nor cancelled) count; the
+        #: handles decrement it on cancel.
+        self._live = 0
+        self._fired = 0
 
     # --- introspection ------------------------------------------------------
-
-    @property
-    def engine_name(self) -> str:
-        """Which engine backs this simulator: ``"array"`` or ``"object"``."""
-        return self._engine_name
 
     @property
     def now(self) -> float:
@@ -320,17 +86,12 @@ class Simulator:
     @property
     def events_fired(self) -> int:
         """Number of events executed so far (for tests/diagnostics)."""
-        return self._engine.fired
+        return self._fired
 
     @property
     def pending_events(self) -> int:
         """Live (scheduled, not fired, not cancelled) events — O(1)."""
-        return self._engine.live
-
-    def _fired_counter(self):
-        """The obs events-fired counter, or None when obs is disabled."""
-        obs = self.obs
-        return obs.metrics.counter("sim.events_fired") if obs.enabled else None
+        return self._live
 
     # --- scheduling ---------------------------------------------------------
 
@@ -338,56 +99,74 @@ class Simulator:
         self, time: float, action: Callable[[], None], label: str = ""
     ) -> EventHandle:
         """Schedule ``action`` at an absolute simulated time."""
+        if not math.isfinite(time):
+            raise SimulationError(f"cannot schedule event at non-finite time {time}")
         if time < self.clock.now:
             raise SimulationError(
                 f"cannot schedule event in the past ({time} < {self.clock.now})"
             )
-        if self.obs.enabled:
-            self.obs.metrics.counter("sim.events_scheduled").inc()
-        return self._engine.push(time, action, label)
+        return self._push(time, action, label)
 
     def schedule_after(
         self, delay: float, action: Callable[[], None], label: str = ""
     ) -> EventHandle:
         """Schedule ``action`` ``delay`` seconds from now."""
+        if not math.isfinite(delay):
+            raise SimulationError(f"cannot schedule event with non-finite delay {delay}")
         if delay < 0:
             raise SimulationError(f"cannot schedule event with negative delay {delay}")
+        return self._push(self.clock.now + delay, action, label)
+
+    def _push(self, time: float, action: Callable[[], None], label: str) -> EventHandle:
         if self.obs.enabled:
             self.obs.metrics.counter("sim.events_scheduled").inc()
-        return self._engine.push(self.clock.now + delay, action, label)
-
-    def schedule_batch(
-        self,
-        times,
-        action: Union[Callable[[], None], Sequence[Callable[[], None]]],
-        labels: Union[str, Sequence[str]] = "",
-    ) -> int:
-        """Bulk fire-and-forget scheduling; returns the count scheduled.
-
-        ``times`` is any 1-D sequence of absolute timestamps; ``action``
-        is one callable shared by every event or a parallel sequence of
-        callables (likewise ``labels``).  No handles are returned — use
-        :meth:`schedule_at` for events that may need cancelling.  On the
-        array engine the timestamps land in one vectorised write.
-        """
-        column = np.ascontiguousarray(times, dtype=np.float64)
-        if column.ndim != 1:
-            raise SimulationError(
-                f"schedule_batch needs a 1-D sequence of times, got shape {column.shape}"
-            )
-        if column.size == 0:
-            return 0
-        earliest = float(column.min())
-        if earliest < self.clock.now:
-            raise SimulationError(
-                f"cannot schedule event in the past ({earliest} < {self.clock.now})"
-            )
-        if self.obs.enabled:
-            self.obs.metrics.counter("sim.events_scheduled").inc(column.size)
-        self._engine.push_batch(column, action, labels)
-        return int(column.size)
+        time = float(time)
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        handle = EventHandle(time, seq, label, action, self)
+        heapq.heappush(self._heap, (time, seq, handle))
+        self._live += 1
+        return handle
 
     # --- running ------------------------------------------------------------
+
+    def _drain(
+        self, deadline: Optional[float], advance: bool, limit: float = math.inf
+    ) -> int:
+        """Fire pending events due at or before ``deadline``, in order.
+
+        ``deadline`` None means "the clock's current reading", re-read
+        per event because a callback may advance the clock.  ``advance``
+        moves the clock to each event's time before its callback runs.
+        Fires at most ``limit`` events; returns the number fired.
+        """
+        heap = self._heap
+        clock = self.clock
+        counter = (
+            self.obs.metrics.counter("sim.events_fired") if self.obs.enabled else None
+        )
+        fired = 0
+        while heap and fired < limit:
+            time, _, handle = heap[0]
+            if handle._state != PENDING:
+                heapq.heappop(heap)  # cancelled: drop it lazily
+                continue
+            if time > (clock.now if deadline is None else deadline):
+                break
+            heapq.heappop(heap)
+            handle._state = FIRED
+            action = handle._action
+            handle._action = None
+            self._live -= 1
+            if advance:
+                now = clock.now
+                clock.advance_to(time if time > now else now)
+            action()
+            self._fired += 1
+            fired += 1
+            if counter is not None:
+                counter.inc()
+        return fired
 
     def fire_due_events(self) -> int:
         """Run every event due at or before the current time.
@@ -395,17 +174,9 @@ class Simulator:
         Used by synchronous execution paths after advancing the clock:
         the executor consumes compute time, then lets any background
         events (availability changes, GC) that became due take effect.
-        Returns the number of events fired.
+        Never moves the clock itself.  Returns the number of events fired.
         """
-        counter = self._fired_counter()
-        fired = 0
-        while True:
-            # Re-read the clock per pass: a fired callback may advance
-            # it, making further events due.
-            drained = self._engine.drain(self.clock.now, clock=None, counter=counter)
-            if drained == 0:
-                return fired
-            fired += drained
+        return self._drain(None, advance=False)
 
     def run_until(self, deadline: float) -> None:
         """Advance to ``deadline``, firing all events on the way."""
@@ -413,9 +184,7 @@ class Simulator:
             raise SimulationError(
                 f"deadline {deadline} is before current time {self.clock.now}"
             )
-        counter = self._fired_counter()
-        while self._engine.drain(deadline, clock=self.clock, counter=counter):
-            pass
+        self._drain(deadline, advance=True)
         self.clock.advance_to(deadline)
 
     def run_all(self, max_events: int = 1_000_000) -> None:
@@ -425,16 +194,8 @@ class Simulator:
         remain *beyond* the budget — draining exactly ``max_events``
         events is a successful run.
         """
-        counter = self._fired_counter()
-        remaining = max_events
-        while remaining > 0:
-            drained = self._engine.drain(
-                math.inf, clock=self.clock, counter=counter, limit=remaining
-            )
-            if drained == 0:
-                return
-            remaining -= drained
-        if self._engine.live > 0:
+        self._drain(math.inf, advance=True, limit=max_events)
+        if self._live > 0:
             raise SimulationError(
                 f"run_all exceeded {max_events} events; likely a scheduling loop"
             )
@@ -442,49 +203,57 @@ class Simulator:
     # --- snapshot / fork ----------------------------------------------------
 
     def snapshot(self) -> SimSnapshot:
-        """Capture engine + clock state, cheaply (copy-on-write).
+        """Capture pending events, the next seq, the fired count and the clock.
 
-        The snapshot pins pending events (callbacks included, by
-        reference), the fired count, and the clock reading.  Callbacks
-        close over live model objects; a snapshot freezes *scheduling*
-        state, not the state those callbacks mutate.
+        Pending events are copied eagerly (callbacks by reference).
+        Callbacks close over live model objects; a snapshot freezes
+        *scheduling* state, not the state those callbacks mutate.
         """
+        entries = sorted(
+            (time, seq, handle._label, handle._action)
+            for time, seq, handle in self._heap
+            if handle._state == PENDING
+        )
         return SimSnapshot(
-            engine=self._engine_name,
             clock_now=self.clock.now,
-            state=self._engine.capture(),
+            next_seq=self._next_seq,
+            fired=self._fired,
+            entries=tuple(entries),
         )
 
     def restore(self, snapshot: SimSnapshot) -> None:
         """Rewind this simulator to a snapshot (clock may move backwards).
 
-        Handles obtained after the snapshot was taken must not be used
-        once it is restored.  An attached time attributor is *not*
-        rewound — restore inside attribution-free search loops.
+        Handles obtained before the restore are detached from this
+        simulator.  An attached time attributor is *not* rewound —
+        restore inside attribution-free search loops.
         """
-        if snapshot.engine != self._engine_name:
-            raise SimulationError(
-                f"snapshot was taken on the {snapshot.engine!r} engine; "
-                f"this simulator runs {self._engine_name!r}"
-            )
-        self._engine.restore(snapshot.state)
+        for _, _, handle in self._heap:
+            handle._sim = None
+        # The sorted entries already form a valid heap.  Rebuild in
+        # place so a drain in progress keeps reading the live list.
+        self._heap[:] = [
+            (time, seq, EventHandle(time, seq, label, action, self))
+            for time, seq, label, action in snapshot.entries
+        ]
+        self._next_seq = snapshot.next_seq
+        self._live = len(snapshot.entries)
+        self._fired = snapshot.fired
         self.clock.restore(snapshot.clock_now)
 
     def fork(self, *, obs: Optional[Observability] = None) -> "Simulator":
         """A new independent simulator continuing from this one's state.
 
         The fork gets its own clock (at the same reading, without the
-        parent's attributor) and its own engine sharing the pending
-        event set copy-on-write; callbacks are shared by reference, so
-        forked branches exploring different futures should reschedule
-        against their own model state.  ``obs`` defaults to sharing the
-        parent's handle — pass ``Observability.disabled()`` to keep
-        search branches out of the parent's metrics.
+        parent's attributor) and its own copy of the pending events;
+        callbacks are shared by reference, so forked branches exploring
+        different futures should reschedule against their own model
+        state.  ``obs`` defaults to sharing the parent's handle — pass
+        ``Observability.disabled()`` to keep search branches out of the
+        parent's metrics.
         """
         branch = Simulator(
-            clock=SimClock(),
-            obs=obs if obs is not None else self.obs,
-            engine=self._engine_name,
+            clock=SimClock(), obs=obs if obs is not None else self.obs
         )
         branch.restore(self.snapshot())
         return branch

@@ -19,12 +19,6 @@ Two scenarios:
     ``run_campaign_parallel``) vs. the pre-layer baseline (cache
     disabled, serial loop).  Outcomes are asserted identical.
 
-``engine_microbench``
-    Raw event throughput of the array event engine vs. the reference
-    object engine: schedule N events at random timestamps, drain them
-    all, per engine.  Both arms must fire every event; the gate checks
-    the dimensionless wall-time fraction.
-
 Wall numbers vary machine to machine, so the perf gate checks the
 dimensionless *fractions* (warm/cold, layer/baseline) with generous
 tolerances rather than the raw seconds.
@@ -52,7 +46,6 @@ from .runtime.profcache import ProfileCache
 from .workloads import get_workload
 
 __all__ = [
-    "bench_engine_microbench",
     "bench_parallel_campaign",
     "bench_warm_run",
     "run_wall_bench",
@@ -68,11 +61,6 @@ WARM_SCALE = 2 ** -6
 CAMPAIGN_RUNS = 24
 CAMPAIGN_SCALE = 2 ** -3
 CAMPAIGN_WORKERS = 4
-MICROBENCH_EVENTS = 200_000
-
-
-def _noop() -> None:
-    """Zero-cost event callback for the engine microbenchmark."""
 
 
 @contextmanager
@@ -193,59 +181,6 @@ def bench_parallel_campaign(
     }
 
 
-def bench_engine_microbench(
-    events: int = MICROBENCH_EVENTS,
-    repeats: int = 3,
-) -> Dict[str, Any]:
-    """Events/second of the array engine vs. the object engine.
-
-    One arm per engine: schedule ``events`` callbacks at seeded random
-    timestamps (the array arm through the vectorised
-    ``schedule_batch``, the object arm through per-event
-    ``schedule_at`` — each engine's idiomatic bulk path), then
-    ``run_all`` drains everything.  Best-of-``repeats`` per arm; both
-    arms must fire exactly ``events`` events.
-    """
-    import numpy as np
-
-    from .sim import Simulator
-
-    rng = np.random.default_rng(20230423)
-    times = np.ascontiguousarray(rng.random(events) * 100.0)
-
-    def one_arm(engine: str) -> float:
-        best = float("inf")
-        for _ in range(repeats):
-            sim = Simulator(engine=engine)
-            start = time.perf_counter()
-            if engine == "array":
-                sim.schedule_batch(times, _noop)
-            else:
-                schedule_at = sim.schedule_at
-                for timestamp in times.tolist():
-                    schedule_at(timestamp, _noop)
-            sim.run_all(max_events=events)
-            best = min(best, time.perf_counter() - start)
-            if sim.events_fired != events:
-                raise ReproError(
-                    f"{engine} engine fired {sim.events_fired} of "
-                    f"{events} scheduled events"
-                )
-        return best
-
-    object_s = one_arm("object")
-    array_s = one_arm("array")
-    return {
-        "events": events,
-        "object_wall_seconds": object_s,
-        "array_wall_seconds": array_s,
-        "object_events_per_second": events / object_s,
-        "array_events_per_second": events / array_s,
-        "speedup": object_s / array_s,
-        "fraction_of_object": array_s / object_s,
-    }
-
-
 def run_wall_bench(
     workers: int = CAMPAIGN_WORKERS,
     repeats: int = 3,
@@ -256,14 +191,12 @@ def run_wall_bench(
     }
     headline = warm_runs[WARM_WORKLOADS[0]]
     campaign = bench_parallel_campaign(workers=workers)
-    micro = bench_engine_microbench(repeats=repeats)
     return {
         "warm_run": {
             **headline,
             "per_workload": warm_runs,
         },
         "parallel_campaign": campaign,
-        "engine_microbench": micro,
     }
 
 

@@ -11,19 +11,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro._deprecations import reset_deprecation_registry
 from repro.config import SystemConfig
 from repro.hw.topology import Machine, build_machine
 from repro.lang.dataset import Dataset
 from repro.lang.program import Program, Statement, constant, per_record
-
-
-@pytest.fixture(autouse=True)
-def _fresh_deprecation_registry():
-    """Deprecation shims warn once per process; tests need once per test."""
-    reset_deprecation_registry()
-    yield
-    reset_deprecation_registry()
+from repro.sim import Simulator
 
 
 @pytest.fixture
@@ -34,6 +26,32 @@ def config() -> SystemConfig:
 @pytest.fixture
 def machine(config) -> Machine:
     return build_machine(config)
+
+
+class _ArrayTimeSimulator(Simulator):
+    """A :class:`Simulator` whose every timestamp is a numpy ``float64``.
+
+    Callers often take event times out of numpy arrays, so the engine
+    must order, compare and validate numpy scalars exactly as it does
+    Python floats.
+    """
+
+    def schedule_at(self, time, action, label=""):
+        return super().schedule_at(np.float64(time), action, label)
+
+    def schedule_after(self, delay, action, label=""):
+        return super().schedule_after(np.float64(delay), action, label)
+
+    def run_until(self, deadline):
+        super().run_until(np.float64(deadline))
+
+
+@pytest.fixture(params=("array", "object"))
+def sim(request) -> Simulator:
+    """A fresh simulator fed numpy-array times or Python float objects."""
+    if request.param == "array":
+        return _ArrayTimeSimulator()
+    return Simulator()
 
 
 def _toy_payload(n: int, full: int) -> dict:

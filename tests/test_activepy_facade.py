@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hw.topology import build_machine
-from repro.runtime.activepy import ActivePy
+from repro.runtime.activepy import ActivePy, RunOptions
 from repro.runtime.planner import CSD
 from repro.baselines import StaticIspBaseline, run_c_baseline
 
@@ -52,13 +52,13 @@ class TestEndToEnd:
 
     def test_migration_disabled_variant_runs(self, config, toy_program, toy_dataset):
         report = ActivePy(config, migration_enabled=False).run(
-            toy_program, toy_dataset, progress_triggers=[(0.5, 0.1)]
+            toy_program, toy_dataset, options=RunOptions(progress_triggers=((0.5, 0.1),))
         )
         assert not report.result.migrated
 
     def test_migration_enabled_reacts_to_stress(self, config, toy_program, toy_dataset):
         report = ActivePy(config, migration_enabled=True).run(
-            toy_program, toy_dataset, progress_triggers=[(0.5, 0.05)]
+            toy_program, toy_dataset, options=RunOptions(progress_triggers=((0.5, 0.05),))
         )
         if CSD in report.plan.assignments:
             assert report.result.migrated

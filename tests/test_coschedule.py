@@ -9,7 +9,7 @@ from repro.runtime.coschedule import (
     coschedule_pair,
     csd_busy_windows,
 )
-from repro.runtime.activepy import ActivePy
+from repro.runtime.activepy import ActivePy, RunOptions
 from repro.workloads import get_workload
 
 from .conftest import make_toy_dataset, make_toy_program
@@ -28,7 +28,8 @@ def pair_result():
 class TestBusyWindows:
     def test_extracted_from_traced_run(self, config):
         report = ActivePy(config).run(
-            make_toy_program(), make_toy_dataset(), trace=True
+            make_toy_program(), make_toy_dataset(),
+            options=RunOptions(trace=True),
         )
         windows = csd_busy_windows(report)
         assert windows

@@ -8,7 +8,7 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.hw.topology import build_machine
-from repro.runtime.activepy import ActivePy
+from repro.runtime.activepy import ActivePy, RunOptions
 from repro.storage.tenant import BackgroundLoad
 from repro.baselines import run_c_baseline
 from repro.workloads import get_workload
@@ -67,7 +67,7 @@ class TestStackedExtensions:
         config = SystemConfig(overlap_io_compute=True)
         report = ActivePy(config).run(
             make_toy_program(), make_toy_dataset(),
-            progress_triggers=[(0.3, 0.05)],
+            options=RunOptions(progress_triggers=((0.3, 0.05),)),
         )
         assert report.result.migrated
         baseline = run_c_baseline(
@@ -84,7 +84,7 @@ class TestStackedExtensions:
         machine = build_machine(config, num_csds=2)
         report = ActivePy(config).run(
             make_toy_program(), make_toy_dataset(), machine=machine,
-            progress_triggers=[(0.5, 0.3)], trace=True,
+            options=RunOptions(trace=True, progress_triggers=((0.5, 0.3),)),
         )
         assert report.timeline is not None
         assert report.timeline.makespan > 0

@@ -12,7 +12,7 @@ from repro.errors import (
 from repro.hw.topology import build_machine
 from repro.lang.dataset import Dataset
 from repro.lang.program import Program, Statement, constant, per_record
-from repro.runtime.activepy import ActivePy
+from repro.runtime.activepy import ActivePy, RunOptions
 from repro.storage.ftl import PageMappingFTL
 from repro.storage.nand import FlashArray, FlashGeometry
 from repro.units import MIB
@@ -141,6 +141,6 @@ class TestDegenerateInputs:
             Statement("a", lambda p: p, per_record(100), per_record(64)),
         ])
         report = ActivePy(config).run(
-            program, make_toy_dataset(), progress_triggers=[(0.5, 0.01)]
+            program, make_toy_dataset(), options=RunOptions(progress_triggers=((0.5, 0.01),))
         )
         assert not report.result.migrated

@@ -1,5 +1,7 @@
 """Deterministic fault injection and the runtime's recovery from it."""
 
+import json
+
 import pytest
 
 from repro.errors import (
@@ -26,6 +28,23 @@ class TestFaultSpecValidation:
     def test_negative_time_rejected(self):
         with pytest.raises(FaultError):
             FaultSpec(kind=FaultKind.CSE_CRASH, at_time=-1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_time_rejected(self, bad):
+        with pytest.raises(FaultError):
+            FaultSpec(kind=FaultKind.CSE_CRASH, at_time=bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_duration_rejected(self, bad):
+        with pytest.raises(FaultError):
+            FaultSpec(kind=FaultKind.NVME_QUEUE_STALL, at_time=0.0, duration_s=bad)
+
+    def test_replayed_plan_with_nan_time_rejected(self):
+        payload = json.loads(
+            '{"seed": 1, "specs": [{"kind": "cse-crash", "at_time": "nan"}]}'
+        )
+        with pytest.raises(FaultError):
+            FaultPlan.from_jsonable(payload)
 
     def test_link_degrade_needs_link_target(self):
         with pytest.raises(FaultError):

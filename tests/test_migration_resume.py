@@ -15,7 +15,7 @@ import dataclasses
 from repro.config import SystemConfig
 from repro.faults import FaultKind, FaultPlan, FaultSpec
 from repro.hw.topology import build_machine
-from repro.runtime.activepy import ActivePy
+from repro.runtime.activepy import ActivePy, RunOptions
 
 from .conftest import make_toy_dataset, make_toy_program
 
@@ -28,7 +28,8 @@ def _run(config: SystemConfig, fault_plan=None, triggers=CONGESTION):
     machine = build_machine(config)
     report = ActivePy(config).run(
         make_toy_program(), make_toy_dataset(), machine=machine,
-        progress_triggers=triggers, fault_plan=fault_plan,
+        options=RunOptions(progress_triggers=tuple(triggers)),
+        fault_plan=fault_plan,
     )
     return report
 

@@ -5,7 +5,7 @@ import pytest
 from repro.config import SystemConfig
 from repro.errors import HardwareError, StorageError
 from repro.hw.topology import build_machine
-from repro.runtime.activepy import ActivePy
+from repro.runtime.activepy import ActivePy, RunOptions
 from repro.runtime.planner import CSD
 
 from .conftest import make_toy_dataset, make_toy_program
@@ -94,7 +94,7 @@ class TestPlacementAwareOffload:
         machine.csds[1].store_dataset(dataset.name, dataset.raw_bytes)
         report = ActivePy(config).run(
             make_toy_program(), dataset, machine=machine,
-            progress_triggers=[(0.3, 0.05)],
+            options=RunOptions(progress_triggers=((0.3, 0.05),)),
         )
         if CSD in report.plan.assignments:
             assert report.result.migrated

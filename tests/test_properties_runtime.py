@@ -14,7 +14,7 @@ from repro.config import SystemConfig
 from repro.hw.topology import build_machine
 from repro.lang.dataset import Dataset
 from repro.lang.program import Program, Statement, constant, per_record
-from repro.runtime.activepy import ActivePy
+from repro.runtime.activepy import ActivePy, RunOptions
 from repro.runtime.codegen import ExecutionMode
 from repro.runtime.planner import HOST, host_only_plan
 from repro.runtime.activepy import run_plan
@@ -117,11 +117,11 @@ def test_migration_never_loses_to_staying(availability, trigger_at):
     stay_machine = build_machine(CONFIG)
     stay = ActivePy(CONFIG, migration_enabled=False).run(
         make_toy_program(), make_toy_dataset(), machine=stay_machine,
-        progress_triggers=[(trigger_at, availability)],
+        options=RunOptions(progress_triggers=((trigger_at, availability),)),
     )
     move_machine = build_machine(CONFIG)
     move = ActivePy(CONFIG, migration_enabled=True).run(
         make_toy_program(), make_toy_dataset(), machine=move_machine,
-        progress_triggers=[(trigger_at, availability)],
+        options=RunOptions(progress_triggers=((trigger_at, availability),)),
     )
     assert move.total_seconds <= stay.total_seconds * 1.05

@@ -129,12 +129,6 @@ class TestFleetReportsSpeakTheProtocol:
 
 
 class TestRenamedAttributeShim:
-    def test_faults_injected_warns_and_aliases(self):
-        outcome = _outcome()
-        with pytest.warns(DeprecationWarning, match="fault_event_count"):
-            value = outcome.faults_injected
-        assert value == outcome.fault_event_count == 3
-
     def test_new_name_does_not_warn(self, recwarn):
         assert _outcome().fault_event_count == 3
         assert not [w for w in recwarn if w.category is DeprecationWarning]

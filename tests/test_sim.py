@@ -1,19 +1,10 @@
 """Discrete-event engine: clock monotonicity and event ordering."""
 
-import numpy as np
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.clock import SimClock
-from repro.sim.engine import DEFAULT_ENGINE, EventQueue, Simulator
-
-ENGINES = ("object", "array")
-
-
-@pytest.fixture(params=ENGINES)
-def sim(request):
-    """A fresh simulator, run once per engine."""
-    return Simulator(engine=request.param)
+from repro.sim.engine import Simulator
 
 
 class TestSimClock:
@@ -56,73 +47,91 @@ class TestSimClock:
         assert clock.now == 0.0
 
 
+class TestEngineSelection:
+    """There is one engine: construction takes only ``clock`` and ``obs``."""
+
+    def test_unknown_engine_rejected(self):
+        with pytest.raises(TypeError):
+            Simulator(engine="turbo")
+
+    def test_construction_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            Simulator(SimClock())
+
+
 class TestEventQueue:
+    """The simulator's pending-event heap: order, cancels and live count."""
+
     def test_orders_by_time(self):
-        queue = EventQueue()
+        sim = Simulator()
         fired = []
-        queue.push(2.0, lambda: fired.append("b"))
-        queue.push(1.0, lambda: fired.append("a"))
-        queue.pop().action()
-        queue.pop().action()
+        sim.schedule_at(2.0, lambda: fired.append("b"))
+        sim.schedule_at(1.0, lambda: fired.append("a"))
+        sim.run_all()
         assert fired == ["a", "b"]
 
     def test_same_time_fifo(self):
-        queue = EventQueue()
+        sim = Simulator()
         fired = []
-        queue.push(1.0, lambda: fired.append(1))
-        queue.push(1.0, lambda: fired.append(2))
-        queue.push(1.0, lambda: fired.append(3))
-        while (event := queue.pop()) is not None:
-            event.action()
+        for i in (1, 2, 3):
+            sim.schedule_at(1.0, lambda i=i: fired.append(i))
+        sim.run_all()
         assert fired == [1, 2, 3]
 
     def test_cancelled_events_skipped(self):
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        event.cancel()
-        assert queue.pop() is None
-        assert len(queue) == 0
+        sim = Simulator()
+        sim.schedule_at(1.0, lambda: None).cancel()
+        sim.run_all()
+        assert sim.events_fired == 0
+        assert sim.pending_events == 0
 
     def test_peek_time_skips_cancelled(self):
-        queue = EventQueue()
-        first = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
-        first.cancel()
-        assert queue.peek_time() == 2.0
+        """The clock jumps to the first live event, not a cancelled head."""
+        sim = Simulator()
+        seen = []
+        sim.schedule_at(1.0, lambda: seen.append(sim.now)).cancel()
+        sim.schedule_at(2.0, lambda: seen.append(sim.now))
+        sim.run_all()
+        assert seen == [2.0]
+        assert sim.now == 2.0
 
     def test_negative_time_rejected(self):
         with pytest.raises(SimulationError):
-            EventQueue().push(-1.0, lambda: None)
+            Simulator().schedule_at(-1.0, lambda: None)
 
     def test_len_tracks_push_pop_cancel(self):
-        queue = EventQueue()
-        events = [queue.push(float(i), lambda: None) for i in range(5)]
-        assert len(queue) == 5
-        events[2].cancel()
-        assert len(queue) == 4
-        queue.pop()
-        assert len(queue) == 3
+        sim = Simulator()
+        handles = [sim.schedule_at(float(i), lambda: None) for i in range(5)]
+        assert sim.pending_events == 5
+        handles[2].cancel()
+        assert sim.pending_events == 4
+        sim.run_until(0.0)  # fires the t=0 event
+        assert sim.pending_events == 3
         # Double-cancel must not decrement twice.
-        events[2].cancel()
-        assert len(queue) == 3
-        # Cancelling an already-popped event must not decrement.
-        events[0].cancel()
-        assert len(queue) == 3
-        while queue.pop() is not None:
-            pass
-        assert len(queue) == 0
+        handles[2].cancel()
+        assert sim.pending_events == 3
+        # Cancelling an already-fired event must not decrement.
+        handles[0].cancel()
+        assert sim.pending_events == 3
+        sim.run_all()
+        assert sim.pending_events == 0
 
     def test_len_matches_live_scan_under_churn(self):
-        queue = EventQueue()
-        events = []
+        sim = Simulator()
+        handles = []
         for i in range(40):
-            events.append(queue.push(float(i % 7), lambda: None))
+            handles.append(sim.schedule_at(sim.now + float(i % 7), lambda: None))
             if i % 3 == 0:
-                events[i // 2].cancel()
+                handles[i // 2].cancel()
             if i % 5 == 0:
-                queue.pop()
-        live_scan = sum(1 for e in queue._heap if not e.cancelled)
-        assert len(queue) == live_scan
+                sim.run_until(sim.now + 1.0)
+        live_scan = sum(
+            1 for handle in handles
+            if not handle.cancelled and handle.time > sim.now
+        )
+        assert sim.pending_events == live_scan
+        sim.run_all()
+        assert sim.events_fired == sum(1 for h in handles if not h.cancelled)
 
 
 class TestSimulator:
@@ -218,6 +227,18 @@ class TestSimulator:
         sim.run_all()
         assert sim.pending_events == 0
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_time_rejected(self, sim, bad):
+        with pytest.raises(SimulationError):
+            sim.schedule_at(bad, lambda: None)
+        assert sim.pending_events == 0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_delay_rejected(self, sim, bad):
+        with pytest.raises(SimulationError):
+            sim.schedule_after(bad, lambda: None)
+        assert sim.pending_events == 0
+
 
 class TestEventHandle:
     def test_handle_exposes_event_identity(self, sim):
@@ -251,79 +272,17 @@ class TestEventHandle:
         assert fired == ["x"]
 
 
-class TestScheduleBatch:
-    def test_batch_fires_in_time_order(self, sim):
-        fired = []
-        sim.schedule_batch([3.0, 1.0, 2.0], lambda: fired.append(sim.now))
-        assert sim.pending_events == 3
-        sim.run_all()
-        assert fired == [1.0, 2.0, 3.0]
-
-    def test_batch_interleaves_with_scheduled_events(self, sim):
-        fired = []
-        sim.schedule_at(1.5, lambda: fired.append("single"))
-        count = sim.schedule_batch(
-            np.array([1.0, 2.0]), lambda: fired.append(sim.now)
-        )
-        assert count == 2
-        sim.run_all()
-        assert fired == [1.0, "single", 2.0]
-
-    def test_empty_batch_is_noop(self, sim):
-        assert sim.schedule_batch([], lambda: None) == 0
-        assert sim.pending_events == 0
-
-    def test_batch_in_past_rejected(self, sim):
-        sim.clock.advance(5.0)
-        with pytest.raises(SimulationError):
-            sim.schedule_batch([6.0, 4.0], lambda: None)
-
-    def test_batch_rejects_non_1d(self, sim):
-        with pytest.raises(SimulationError):
-            sim.schedule_batch(np.zeros((2, 2)), lambda: None)
-
-
-class TestEngineSelection:
-    def test_default_engine(self):
-        assert Simulator().engine_name == DEFAULT_ENGINE
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_explicit_engine(self, engine):
-        assert Simulator(engine=engine).engine_name == engine
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_env_var_selects_engine(self, engine, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
-        assert Simulator().engine_name == engine
-
-    def test_explicit_engine_beats_env_var(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "object")
-        assert Simulator(engine="array").engine_name == "array"
-
-    def test_empty_env_var_means_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "")
-        assert Simulator().engine_name == DEFAULT_ENGINE
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(SimulationError):
-            Simulator(engine="turbo")
-
-    def test_construction_is_keyword_only(self):
-        with pytest.raises(TypeError):
-            Simulator(SimClock())
-
-
 class TestEngineEdgeCases:
     """Edge cases the fault injector leans on."""
 
     def test_cancel_after_pop_is_harmless(self):
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        popped = queue.pop()
-        assert popped is event
-        event.cancel()  # already popped: must not corrupt the heap
-        assert queue.pop() is None
-        assert len(queue) == 0
+        sim = Simulator()
+        handle = sim.schedule_at(1.0, lambda: None)
+        sim.run_all()  # pops and fires it
+        handle.cancel()  # already popped: must not corrupt the heap
+        sim.run_all()
+        assert sim.events_fired == 1
+        assert sim.pending_events == 0
 
     def test_cancel_fired_simulator_event_is_harmless(self, sim):
         fired = []
@@ -335,15 +294,14 @@ class TestEngineEdgeCases:
         assert fired == [1.0]
 
     def test_same_time_order_stable_under_interleaved_cancel(self):
-        queue = EventQueue()
+        sim = Simulator()
         fired = []
-        events = [queue.push(1.0, lambda i=i: fired.append(i)) for i in range(6)]
+        events = [sim.schedule_at(1.0, lambda i=i: fired.append(i)) for i in range(6)]
         events[1].cancel()
         events[4].cancel()
         # Re-scheduling at the same timestamp lands after survivors.
-        queue.push(1.0, lambda: fired.append(6))
-        while (event := queue.pop()) is not None:
-            event.action()
+        sim.schedule_at(1.0, lambda: fired.append(6))
+        sim.run_all()
         assert fired == [0, 2, 3, 5, 6]
 
     def test_schedule_then_cancel_then_reschedule_keeps_fifo(self, sim):

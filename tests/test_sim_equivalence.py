@@ -1,40 +1,30 @@
-"""Dual-engine equivalence: array vs. object vs. a heapq oracle.
+"""The simulator against an independent heapq oracle.
 
-The array engine's whole value proposition is that it is a *pure*
-optimisation: for any schedule — same-time ties, interleaved cancels,
-cancel-after-fire, callbacks that schedule or cancel mid-drain — it
-fires exactly the events the reference object engine fires, in exactly
-the same ``(time, seq)`` order.  This module checks that three ways:
+For any schedule — same-time ties, interleaved cancels,
+cancel-after-fire, callbacks that schedule or cancel mid-drain,
+snapshots restored mid-script — :class:`~repro.sim.Simulator` must fire
+exactly the events a bare ``(time, seq)`` heap fires, in exactly that
+order.  This module checks that two ways:
 
-* a hypothesis property test driving both engines (and a ~20-line
-  heapq oracle written independently of either) through random
-  scripts of schedules, cancels and drains;
+* a hypothesis property test driving the simulator and a ~30-line
+  heapq oracle (written independently of it) through random scripts of
+  schedules, cancels, drains, snapshots and restores;
 * hand-written scripts for the adversarial cases (in-callback
-  scheduling before the rest of the batch, cancels aimed at events
-  already in the due window);
-* whole-workload equivalence — rotation workloads and replayed chaos
-  seeds must produce bit-identical run signatures under either engine.
+  scheduling ahead of already-due events, cancels aimed at events
+  already due).
 """
 
 import heapq
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chaos import CampaignConfig, run_campaign
-from repro.chaos.invariants import run_signature
-from repro.config import SystemConfig
-from repro.runtime.activepy import ActivePy
 from repro.sim import Simulator
-from repro.workloads import get_workload
-
-ENGINES = ("object", "array")
 
 
 class HeapOracle:
     """Independent reference: a bare (time, seq) heap, nothing shared
-    with either production engine."""
+    with the production engine."""
 
     def __init__(self):
         self.heap = []
@@ -58,34 +48,53 @@ class HeapOracle:
                 continue
             self.fired.append((time, seq))
 
+    def state(self):
+        """A copy of the scheduling state (the firing log is history)."""
+        return list(self.heap), self.seq, set(self.cancelled)
 
-def run_script(engine, script):
+    def restore(self, state):
+        heap, seq, cancelled = state
+        self.heap, self.seq, self.cancelled = list(heap), seq, set(cancelled)
+
+
+def run_script(script):
     """Drive a Simulator through (op, ...) tuples; return the firing log.
 
-    Ops: ``("schedule", t)``, ``("cancel", i)`` (i-th handle, modulo),
-    ``("drain", deadline_delta)``.  The log records ``(time, seq)`` for
-    every fired event, so two engines agree iff their logs are equal.
+    Ops: ``("schedule", t)`` (skipped when ``t`` is in the past),
+    ``("cancel", i)`` (i-th handle since the last restore, modulo),
+    ``("drain", deadline_delta)``, ``("snapshot",)`` and
+    ``("restore", i)`` (i-th snapshot taken so far, modulo).  The log
+    records ``(time, seq)`` for every fired event, so the simulator and
+    the oracle agree iff their logs are equal.
     """
-    sim = Simulator(engine=engine)
+    sim = Simulator()
     handles = []
+    snapshots = []
     log = []
 
-    def make_action(handle_slot):
+    def make_action(cell):
         def action():
-            log.append((sim.now, handles[handle_slot].seq))
+            log.append((sim.now, cell[0].seq))
         return action
 
     for op in script:
         if op[0] == "schedule":
-            slot = len(handles)
-            handles.append(None)
-            handles[slot] = sim.schedule_at(op[1], make_action(slot))
+            if op[1] < sim.now:
+                continue
+            cell = []
+            cell.append(sim.schedule_at(op[1], make_action(cell)))
+            handles.append(cell[0])
         elif op[0] == "cancel":
             if handles:
                 handles[op[1] % len(handles)].cancel()
         elif op[0] == "drain":
-            deadline = sim.now + op[1]
-            sim.run_until(deadline)
+            sim.run_until(sim.now + op[1])
+        elif op[0] == "snapshot":
+            snapshots.append(sim.snapshot())
+        elif op[0] == "restore":
+            if snapshots:
+                sim.restore(snapshots[op[1] % len(snapshots)])
+                handles = []  # handles do not survive a restore
     sim.run_all()
     return log
 
@@ -93,9 +102,12 @@ def run_script(engine, script):
 def run_oracle(script):
     oracle = HeapOracle()
     seqs = []
+    snapshots = []
     now = 0.0
     for op in script:
         if op[0] == "schedule":
+            if op[1] < now:
+                continue
             seqs.append(oracle.schedule(op[1]))
         elif op[0] == "cancel":
             if seqs:
@@ -103,6 +115,13 @@ def run_oracle(script):
         elif op[0] == "drain":
             now = now + op[1]
             oracle.drain(now)
+        elif op[0] == "snapshot":
+            snapshots.append((now, oracle.state()))
+        elif op[0] == "restore":
+            if snapshots:
+                now, state = snapshots[op[1] % len(snapshots)]
+                oracle.restore(state)
+                seqs = []
     oracle.drain(float("inf"))
     return oracle.fired
 
@@ -114,29 +133,16 @@ _OP = st.one_of(
     st.tuples(st.just("schedule"), _TIMES),
     st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=63)),
     st.tuples(st.just("drain"), st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0])),
+    st.just(("snapshot",)),
+    st.tuples(st.just("restore"), st.integers(min_value=0, max_value=7)),
 )
 
 
-def _monotonic_schedules(script):
-    """Keep only scripts whose schedules are never in the past."""
-    now = 0.0
-    for op in script:
-        if op[0] == "drain":
-            now += op[1]
-        elif op[0] == "schedule" and op[1] < now:
-            return False
-    return True
-
-
 class TestPropertyEquivalence:
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(_OP, min_size=1, max_size=40).filter(_monotonic_schedules))
-    def test_engines_match_each_other_and_the_oracle(self, script):
-        array_log = run_script("array", script)
-        object_log = run_script("object", script)
-        oracle_log = run_oracle(script)
-        assert array_log == object_log
-        assert array_log == oracle_log
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_OP, min_size=1, max_size=40))
+    def test_simulator_matches_the_oracle(self, script):
+        assert run_script(script) == run_oracle(script)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -144,40 +150,39 @@ class TestPropertyEquivalence:
         st.sets(st.integers(min_value=0, max_value=29)),
     )
     def test_cancel_subset_of_batch(self, times, cancel_slots):
-        """Cancel an arbitrary subset before draining: orders match."""
-        logs = {}
-        for engine in ENGINES:
-            sim = Simulator(engine=engine)
-            log = []
-            handles = [
-                sim.schedule_at(t, lambda t=t, i=i: log.append((t, i)))
-                for i, t in enumerate(times)
-            ]
-            for slot in cancel_slots:
-                if slot < len(handles):
-                    handles[slot].cancel()
-            sim.run_all()
-            logs[engine] = log
-        assert logs["array"] == logs["object"]
+        """Cancel an arbitrary subset before draining: order matches."""
+        sim = Simulator()
+        oracle = HeapOracle()
+        log = []
+        handles = []
+        for t in times:
+            cell = []
+            cell.append(sim.schedule_at(t, lambda cell=cell: log.append((sim.now, cell[0].seq))))
+            handles.append(cell[0])
+            oracle.schedule(t)
+        for slot in cancel_slots:
+            if slot < len(handles):
+                handles[slot].cancel()
+                oracle.cancel(slot)
+        sim.run_all()
+        oracle.drain(float("inf"))
+        assert log == oracle.fired
+        assert sim.pending_events == 0
 
 
 class TestAdversarialScripts:
-    """Hand-picked cases where batching could diverge from the heap."""
+    """Hand-picked cases where mid-drain changes could break the order."""
 
     @staticmethod
     def logs_for(build):
-        logs = {}
-        for engine in ENGINES:
-            sim = Simulator(engine=engine)
-            log = []
-            build(sim, log)
-            sim.run_all()
-            logs[engine] = log
-        assert logs["array"] == logs["object"]
-        return logs["array"]
+        sim = Simulator()
+        log = []
+        build(sim, log)
+        sim.run_all()
+        return log
 
     def test_callback_schedules_earlier_than_rest_of_batch(self):
-        # t=1 fires and schedules t=1.5; the batch already holds t=2
+        # t=1 fires and schedules t=1.5; the heap already holds t=2
         # and t=3 — the new event must jump the queue.
         def build(sim, log):
             def first():
@@ -218,8 +223,8 @@ class TestAdversarialScripts:
         assert self.logs_for(build) == ["first", "third"]
 
     def test_callback_schedules_same_time_event(self):
-        # A same-time event scheduled mid-drain fires after the rest of
-        # the batch (higher seq), in the same drain.
+        # A same-time event scheduled mid-drain fires after its pending
+        # same-time siblings (higher seq), in the same drain.
         def build(sim, log):
             def first():
                 log.append("first")
@@ -239,41 +244,13 @@ class TestAdversarialScripts:
         assert self.logs_for(build) == ["y"]
 
     def test_fire_due_events_between_schedules(self):
-        logs = {}
-        for engine in ENGINES:
-            sim = Simulator(engine=engine)
-            log = []
-            sim.schedule_at(1.0, lambda: log.append(("a", sim.now)))
-            sim.schedule_at(3.0, lambda: log.append(("b", sim.now)))
-            sim.clock.advance(2.0)
-            fired = sim.fire_due_events()
-            assert fired == 1
-            assert sim.now == 2.0  # fire_due_events never advances
-            sim.run_all()
-            logs[engine] = log
-        assert logs["array"] == logs["object"]
-
-
-class TestWorkloadEquivalence:
-    """Whole-stack equivalence: runs and campaigns, not micro-scripts."""
-
-    @pytest.mark.parametrize("workload_name", ["tpch_q6", "kmeans"])
-    def test_run_signature_matches_across_engines(self, workload_name, monkeypatch):
-        workload = get_workload(workload_name, scale=2 ** -7)
-        signatures = {}
-        for engine in ENGINES:
-            monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
-            report = ActivePy(SystemConfig()).run(workload.program, workload.dataset)
-            signatures[engine] = (run_signature(report), report.total_seconds)
-        assert signatures["array"] == signatures["object"]
-
-    def test_chaos_campaign_matches_across_engines(self, monkeypatch):
-        outcomes = {}
-        for engine in ENGINES:
-            monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
-            result = run_campaign(
-                CampaignConfig(runs=6, scale=2 ** -7, base_seed=20230423,
-                               collect_metrics=False)
-            )
-            outcomes[engine] = [outcome.summary() for outcome in result.outcomes]
-        assert outcomes["array"] == outcomes["object"]
+        sim = Simulator()
+        log = []
+        sim.schedule_at(1.0, lambda: log.append(("a", sim.now)))
+        sim.schedule_at(3.0, lambda: log.append(("b", sim.now)))
+        sim.clock.advance(2.0)
+        fired = sim.fire_due_events()
+        assert fired == 1
+        assert sim.now == 2.0  # fire_due_events never advances
+        sim.run_all()
+        assert log == [("a", 2.0), ("b", 3.0)]

@@ -2,15 +2,7 @@
 
 import pytest
 
-from repro.errors import SimulationError
 from repro.sim import SimSnapshot, Simulator
-
-ENGINES = ("object", "array")
-
-
-@pytest.fixture(params=ENGINES)
-def sim(request):
-    return Simulator(engine=request.param)
 
 
 class TestSnapshotRestore:
@@ -54,7 +46,7 @@ class TestSnapshotRestore:
         assert counter == [1.0, 1.0, 1.0]
 
     def test_mutation_after_snapshot_does_not_leak_into_it(self, sim):
-        """Copy-on-write: post-snapshot schedules/cancels stay private."""
+        """Post-snapshot schedules/cancels stay out of the snapshot."""
         fired = []
         keeper = sim.schedule_at(3.0, lambda: fired.append("keeper"))
         snap = sim.snapshot()
@@ -77,13 +69,40 @@ class TestSnapshotRestore:
         sim.restore(snap)
         assert sim.events_fired == 1
 
-    def test_cross_engine_restore_rejected(self):
-        array_sim = Simulator(engine="array")
-        object_sim = Simulator(engine="object")
-        with pytest.raises(SimulationError):
-            object_sim.restore(array_sim.snapshot())
-        with pytest.raises(SimulationError):
-            array_sim.restore(object_sim.snapshot())
+    def test_cancel_before_snapshot_survives_restore(self, sim):
+        fired = []
+        doomed = sim.schedule_at(1.0, lambda: fired.append("doomed"))
+        sim.schedule_at(2.0, lambda: fired.append("kept"))
+        doomed.cancel()
+        snap = sim.snapshot()
+        assert snap.pending_events == 1
+        sim.restore(snap)
+        assert sim.pending_events == 1
+        sim.run_all()
+        assert fired == ["kept"]
+
+    def test_restore_detaches_older_handles(self, sim):
+        """A stale handle's cancel cannot skew the restored live count."""
+        fired = []
+        stale = sim.schedule_at(2.0, lambda: fired.append("kept"))
+        snap = sim.snapshot()
+        sim.restore(snap)
+        stale.cancel()
+        assert sim.pending_events == 1
+        sim.run_all()
+        assert fired == ["kept"]
+
+    def test_restore_keeps_seq_order(self, sim):
+        """Seqs continue from the snapshot, so same-time ties stay FIFO."""
+        fired = []
+        sim.schedule_at(1.0, lambda: fired.append("old"))
+        snap = sim.snapshot()
+        sim.schedule_at(1.0, lambda: fired.append("discarded"))
+        sim.restore(snap)
+        late = sim.schedule_at(1.0, lambda: fired.append("new"))
+        assert late.seq == 1
+        sim.run_all()
+        assert fired == ["old", "new"]
 
 
 class TestFork:
@@ -94,7 +113,6 @@ class TestFork:
         branch = sim.fork()
         assert branch.now == sim.now == 1.0
         assert branch.pending_events == 1
-        assert branch.engine_name == sim.engine_name
 
     def test_fork_diverges_independently(self, sim):
         parent_fired = []

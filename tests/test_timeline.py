@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.timeline import ExecutionTimeline, merge
 from repro.errors import ReproError
-from repro.runtime.activepy import ActivePy
+from repro.runtime.activepy import ActivePy, RunOptions
 
 from .conftest import make_toy_dataset, make_toy_program
 
@@ -66,7 +66,9 @@ class TestIntegrationWithRuntime:
     def test_traced_run_covers_every_line(self, config):
         program = make_toy_program()
         dataset = make_toy_dataset()
-        report = ActivePy(config).run(program, dataset, trace=True)
+        report = ActivePy(config).run(
+            program, dataset, options=RunOptions(trace=True)
+        )
         timeline = report.timeline
         assert timeline is not None
         labels = {span.label for span in timeline.spans}
@@ -77,7 +79,9 @@ class TestIntegrationWithRuntime:
         # compile + per-line spans account for the whole duration.
         program = make_toy_program()
         dataset = make_toy_dataset()
-        report = ActivePy(config).run(program, dataset, trace=True)
+        report = ActivePy(config).run(
+            program, dataset, options=RunOptions(trace=True)
+        )
         covered = sum(
             span.duration for span in report.timeline.spans
             if span.kind in ("sampling", "compile", "compute")
@@ -94,7 +98,8 @@ class TestIntegrationWithRuntime:
         program = make_toy_program()
         dataset = make_toy_dataset()
         report = ActivePy(config).run(
-            program, dataset, trace=True, progress_triggers=[(0.3, 0.05)]
+            program, dataset,
+            options=RunOptions(trace=True, progress_triggers=((0.3, 0.05),)),
         )
         if report.result.migrated:
             kinds = {span.kind for span in report.timeline.spans}
