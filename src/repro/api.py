@@ -47,7 +47,6 @@ from .errors import (
     IntegrityError,
     ObservabilityError,
     ReproError,
-    TenantIsolationError,
     UncorrectableMediaError,
 )
 from .faults import (
@@ -112,7 +111,6 @@ from .obs import (
 from .parallel import (
     merge_metric_snapshots,
     ordered_pool_map,
-    run_campaign_parallel,
 )
 from .perfgate import GatedMetric, GateReport, PerfGateError
 from .perfgate import check as perf_check
@@ -214,7 +212,6 @@ __all__ = [
     "Statement",
     "StaticIspBaseline",
     "SystemConfig",
-    "TenantIsolationError",
     "TenantSpec",
     "TimeAttributor",
     "TimeSeries",
@@ -246,7 +243,6 @@ __all__ = [
     "program_from_function",
     "run_c_baseline",
     "run_campaign",
-    "run_campaign_parallel",
     "run_cython_baseline",
     "run_fleet_campaign",
     "run_plan",

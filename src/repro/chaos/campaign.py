@@ -1,4 +1,4 @@
-"""The chaos campaign runner.
+"""The chaos campaign runner, for one machine and for the fleet.
 
 A campaign is a loop of seeded experiments: run ``r`` picks workload
 ``workloads[r % len(workloads)]`` and seed ``base_seed + r``, generates
@@ -10,18 +10,27 @@ CLI command that replays it.
 
 Everything is derived from ``(workload, seed, fault_count, scale,
 config)``, so a reported failure replays bit-for-bit on any machine.
+
+The loop itself is generic: :func:`run_campaign` drives a
+:class:`ChaosHarness` and :func:`repro.fleet.run_fleet_campaign` drives
+a :class:`~repro.fleet.FleetHarness` through the same run-and-shrink
+loop, serially or over a process pool (``workers=N``), with the same
+result for any worker count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import (Any, Callable, ClassVar, Dict, Iterable, List, Optional,
+                    Protocol, Tuple, Type, TypeVar)
 
 from ..config import DEFAULT_CONFIG, SystemConfig
 from ..errors import ChaosError
 from ..faults.spec import LOUD_KINDS, SILENT_KINDS, FaultPlan
 from ..hw.topology import build_machine
 from ..obs import Observability
+from ..parallel import ordered_pool_imap
 from ..runtime.activepy import ActivePy, ActivePyReport, RunOptions
 from ..workloads import get_workload
 from .invariants import InvariantViolation, check_invariants
@@ -58,6 +67,14 @@ class ChaosRunOutcome:
     def ok(self) -> bool:
         return not self.violations
 
+    @property
+    def failure_title(self) -> str:
+        return f"FAILURE: {self.workload} seed={self.seed}"
+
+    def run_id(self) -> Dict[str, Any]:
+        """The fields that name this run in a failure report."""
+        return {"workload": self.workload, "seed": self.seed}
+
     def summary(self) -> Dict[str, Any]:
         """The judged outcome, JSON-ready (metrics omitted)."""
         return {
@@ -81,14 +98,12 @@ class ChaosRunOutcome:
 class ShrunkFailure:
     """A violating run distilled to its minimal reproducing plan."""
 
-    outcome: ChaosRunOutcome
+    outcome: Any
     shrink: ShrinkResult
     replay_command: str
 
     def render(self) -> str:
-        lines = [
-            f"FAILURE: {self.outcome.workload} seed={self.outcome.seed}",
-        ]
+        lines = [self.outcome.failure_title]
         for violation in self.outcome.violations:
             lines.append(f"  violated  {violation.render()}")
         lines.append(
@@ -99,6 +114,15 @@ class ShrunkFailure:
             lines.append(f"    - {text}")
         lines.append(f"  replay    {self.replay_command}")
         return "\n".join(lines)
+
+    def to_jsonable(self) -> Dict[str, Any]:
+        payload = self.outcome.run_id()
+        payload.update({
+            "minimal_plan": list(render_plan(self.shrink.minimal)),
+            "shrink_probes": self.shrink.probes,
+            "replay": self.replay_command,
+        })
+        return payload
 
 
 @dataclass(frozen=True)
@@ -137,12 +161,20 @@ class CampaignConfig:
 
 
 @dataclass
-class CampaignResult:
-    """Every outcome plus the shrunk failures, ready to render."""
+class BaseCampaignResult:
+    """Every outcome plus the shrunk failures; subjects add a headline.
 
-    config: CampaignConfig
-    outcomes: List[ChaosRunOutcome] = field(default_factory=list)
+    A subclass sets ``experiment`` (the JSON tag) and ``subject`` (the
+    word before "invariants held") and writes ``summary()`` and
+    ``headline()`` over its own outcome type.
+    """
+
+    config: Any
+    outcomes: List[Any] = field(default_factory=list)
     failures: List[ShrunkFailure] = field(default_factory=list)
+
+    experiment: ClassVar[str]
+    subject: ClassVar[str] = ""
 
     @property
     def runs(self) -> int:
@@ -157,8 +189,32 @@ class CampaignResult:
         return not self.failures and all(o.ok for o in self.outcomes)
 
     def render(self) -> str:
+        lines = self.headline()
+        for failure in self.failures:
+            lines.append("")
+            lines.append(failure.render())
+        if self.ok:
+            lines.append(f"  all {self.subject}invariants held")
+        return "\n".join(lines)
+
+    # --- the common report protocol (see analysis/export.py) ---------------
+
+    def to_jsonable(self) -> Dict[str, Any]:
+        payload: Dict[str, Any] = {"experiment": self.experiment}
+        payload.update(self.summary())
+        payload["outcomes"] = [o.to_jsonable() for o in self.outcomes]
+        payload["failures"] = [f.to_jsonable() for f in self.failures]
+        return payload
+
+
+class CampaignResult(BaseCampaignResult):
+    """Every machine outcome plus the shrunk failures, ready to render."""
+
+    experiment = "chaos-campaign"
+
+    def headline(self) -> List[str]:
         degraded = sum(1 for o in self.outcomes if o.degraded)
-        lines = [
+        return [
             f"chaos campaign: {self.runs} run(s) across "
             f"{len(self.config.workloads)} workload(s), "
             f"seeds {self.config.base_seed}.."
@@ -168,14 +224,6 @@ class CampaignResult:
             f"  degraded runs   : {degraded}/{self.runs}",
             f"  violations      : {self.violations}",
         ]
-        for failure in self.failures:
-            lines.append("")
-            lines.append(failure.render())
-        if self.ok:
-            lines.append("  all invariants held")
-        return "\n".join(lines)
-
-    # --- the common report protocol (see analysis/export.py) ---------------
 
     def summary(self) -> Dict[str, Any]:
         """Campaign headline: pass/fail counts, JSON-ready."""
@@ -192,21 +240,22 @@ class CampaignResult:
             "base_seed": self.config.base_seed,
         }
 
-    def to_jsonable(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {"experiment": "chaos-campaign"}
-        payload.update(self.summary())
-        payload["outcomes"] = [o.to_jsonable() for o in self.outcomes]
-        payload["failures"] = [
-            {
-                "workload": f.outcome.workload,
-                "seed": f.outcome.seed,
-                "minimal_plan": list(render_plan(f.shrink.minimal)),
-                "shrink_probes": f.shrink.probes,
-                "replay": f.replay_command,
-            }
-            for f in self.failures
-        ]
-        return payload
+
+class CampaignHarness(Protocol):
+    """What the campaign loop needs from a subject (machine or fleet).
+
+    A harness is built from its campaign config alone, which is how
+    pool workers started with ``spawn`` rebuild theirs.  A run is the
+    argument tuple of ``plan_for`` and ``run_seed``, and ``run_seed``
+    is ``run_plan`` (build, run, judge) on the run's ``plan_for`` plan.
+    """
+
+    def __init__(self, config: Any) -> None: ...
+    def run_list(self) -> List[Tuple[Any, ...]]: ...
+    def plan_for(self, *run: Any) -> FaultPlan: ...
+    def run_seed(self, *run: Any) -> Any: ...
+    def reproducer(self, outcome: Any) -> Callable[[FaultPlan], bool]: ...
+    def replay_command(self, outcome: Any) -> str: ...
 
 
 class ChaosHarness:
@@ -217,30 +266,29 @@ class ChaosHarness:
     time horizon random fault plans are drawn over.
     """
 
-    def __init__(
-        self,
-        system_config: SystemConfig = DEFAULT_CONFIG,
-        scale: float = DEFAULT_SCALE,
-        fault_count: int = 3,
-        collect_metrics: bool = False,
-        silent_corruption: bool = False,
-    ) -> None:
-        self.system_config = system_config
-        self.scale = scale
-        self.fault_count = fault_count
-        self.collect_metrics = collect_metrics
-        self.silent_corruption = silent_corruption
+    def __init__(self, config: CampaignConfig) -> None:
+        self.config = config
         self._baselines: Dict[str, ActivePyReport] = {}
+
+    def run_list(self) -> List[Tuple[str, int]]:
+        """Run ``r`` is ``(workloads[r % len(workloads)], base_seed + r)``."""
+        workloads = self.config.workloads
+        return [(workloads[run % len(workloads)], self.config.base_seed + run)
+                for run in range(self.config.runs)]
+
+    def replay_command(self, outcome: ChaosRunOutcome) -> str:
+        return replay_command(outcome, self.config)
 
     # --- building blocks --------------------------------------------------
 
     def baseline(self, workload_name: str) -> ActivePyReport:
         """The cached fault-free run of a workload at this setting."""
         if workload_name not in self._baselines:
-            workload = get_workload(workload_name, scale=self.scale)
-            machine = build_machine(self.system_config)
-            self._baselines[workload_name] = ActivePy(self.system_config).run(
-                workload.program, workload.dataset, machine=machine,
+            config = self.config.system_config
+            workload = get_workload(workload_name, scale=self.config.scale)
+            self._baselines[workload_name] = ActivePy(config).run(
+                workload.program, workload.dataset,
+                machine=build_machine(config),
             )
         return self._baselines[workload_name]
 
@@ -256,11 +304,12 @@ class ChaosHarness:
         # LOUD_KINDS is the historical pool; appending the silent kinds
         # (rather than replacing) keeps loud plans for a given seed
         # related to their silent-campaign counterparts.
-        kinds = LOUD_KINDS + SILENT_KINDS if self.silent_corruption else None
+        kinds = (LOUD_KINDS + SILENT_KINDS if self.config.silent_corruption
+                 else None)
         return FaultPlan.random(
             seed=seed,
             horizon_s=baseline.total_seconds - offset,
-            count=self.fault_count,
+            count=self.config.fault_count,
             offset_s=offset,
             kinds=kinds,
         )
@@ -269,11 +318,12 @@ class ChaosHarness:
                  seed: Optional[int] = None) -> ChaosRunOutcome:
         """Run one workload under one plan on a fresh machine and judge it."""
         baseline = self.baseline(workload_name)
-        workload = get_workload(workload_name, scale=self.scale)
-        obs = Observability() if self.collect_metrics else None
-        machine = build_machine(self.system_config, obs=obs)
+        config = self.config.system_config
+        workload = get_workload(workload_name, scale=self.config.scale)
+        obs = Observability() if self.config.collect_metrics else None
+        machine = build_machine(config, obs=obs)
         try:
-            report = ActivePy(self.system_config).run(
+            report = ActivePy(config).run(
                 workload.program, workload.dataset, machine=machine,
                 options=RunOptions(fault_plan=plan, obs=obs),
             )
@@ -308,10 +358,12 @@ class ChaosHarness:
         return self.run_plan(workload_name, self.plan_for(workload_name, seed),
                              seed=seed)
 
-    def reproducer(self, workload_name: str) -> Callable[[FaultPlan], bool]:
+    def reproducer(
+        self, outcome: ChaosRunOutcome
+    ) -> Callable[[FaultPlan], bool]:
         """Predicate for the shrinker: does this plan still violate?"""
         def reproduces(candidate: FaultPlan) -> bool:
-            return not self.run_plan(workload_name, candidate).ok
+            return not self.run_plan(outcome.workload, candidate).ok
         return reproduces
 
 
@@ -334,41 +386,96 @@ def replay_command(outcome: ChaosRunOutcome, config: CampaignConfig) -> str:
     return " ".join(parts)
 
 
+#: The harness pool workers run on.  The parent sets it before the pool
+#: forks, so children inherit its warm caches; under ``spawn`` each
+#: worker's initializer rebuilds it from the campaign config.
+_pool_harness: Optional[CampaignHarness] = None
+
+
+def _adopt_harness(harness_type: Type[CampaignHarness], config: Any) -> None:
+    global _pool_harness
+    if _pool_harness is None:
+        _pool_harness = harness_type(config)
+
+
+def _run_pooled(run: Tuple[Any, ...]) -> Any:
+    if _pool_harness is None:  # pragma: no cover - initializer always ran
+        raise ChaosError("campaign worker started without a harness")
+    return _pool_harness.run_seed(*run)
+
+
+_Result = TypeVar("_Result", bound=BaseCampaignResult)
+
+
+def _run_and_shrink(
+    config: Any,
+    harness_type: Type[CampaignHarness],
+    result: _Result,
+    on_outcome: Optional[Callable[[Any], None]],
+    workers: int,
+) -> _Result:
+    """The one campaign loop: run, report, shrink each failure in order.
+
+    ``workers > 1`` runs the seeded experiments on a process pool.
+    Every run is a pure function of its config and run tuple, and the
+    pool yields results in run order, so the outcomes are the serial
+    ones.  ``on_outcome`` and shrinking stay in this process, in run
+    order, so failures, probe counts and replay commands match too.
+    """
+    global _pool_harness
+    if workers < 1:
+        raise ChaosError(f"workers must be at least 1, got {workers}")
+    harness = harness_type(config)
+    runs = harness.run_list()
+    outcomes: Iterable[Any]
+    if workers == 1 or len(runs) < 2:
+        outcomes = (harness.run_seed(*run) for run in runs)
+    else:
+        # Drawing every plan warms the baselines they are drawn over,
+        # so forked workers inherit them instead of recomputing them.
+        for run in runs:
+            harness.plan_for(*run)
+        _pool_harness = harness
+        outcomes = ordered_pool_imap(
+            _run_pooled, runs, workers=workers,
+            initializer=partial(_adopt_harness, harness_type, config),
+        )
+    try:
+        for outcome in outcomes:
+            result.outcomes.append(outcome)
+            if on_outcome is not None:
+                on_outcome(outcome)
+            if outcome.ok:
+                continue
+            if config.shrink_failures and len(outcome.plan) > 0:
+                shrunk = shrink_plan(
+                    outcome.plan,
+                    harness.reproducer(outcome),
+                    max_probes=config.max_shrink_probes,
+                )
+            else:
+                shrunk = ShrinkResult(
+                    minimal=outcome.plan, probes=0, budget_exhausted=False,
+                )
+            result.failures.append(ShrunkFailure(
+                outcome=outcome,
+                shrink=shrunk,
+                replay_command=harness.replay_command(outcome),
+            ))
+    finally:
+        _pool_harness = None
+    return result
+
+
 def run_campaign(
     config: CampaignConfig,
     on_outcome: Optional[Callable[[ChaosRunOutcome], None]] = None,
+    workers: int = 1,
 ) -> CampaignResult:
-    """Run a full campaign; shrink and report every violating run."""
-    harness = ChaosHarness(
-        system_config=config.system_config,
-        scale=config.scale,
-        fault_count=config.fault_count,
-        collect_metrics=config.collect_metrics,
-        silent_corruption=config.silent_corruption,
-    )
-    result = CampaignResult(config=config)
-    for run in range(config.runs):
-        workload_name = config.workloads[run % len(config.workloads)]
-        seed = config.base_seed + run
-        outcome = harness.run_seed(workload_name, seed)
-        result.outcomes.append(outcome)
-        if on_outcome is not None:
-            on_outcome(outcome)
-        if outcome.ok:
-            continue
-        if config.shrink_failures and len(outcome.plan) > 0:
-            shrunk = shrink_plan(
-                outcome.plan,
-                harness.reproducer(workload_name),
-                max_probes=config.max_shrink_probes,
-            )
-        else:
-            shrunk = ShrinkResult(
-                minimal=outcome.plan, probes=0, budget_exhausted=False,
-            )
-        result.failures.append(ShrunkFailure(
-            outcome=outcome,
-            shrink=shrunk,
-            replay_command=replay_command(outcome, config),
-        ))
-    return result
+    """Run a full campaign; shrink and report every violating run.
+
+    ``workers`` processes share the runs; the result is the same for
+    any worker count.
+    """
+    return _run_and_shrink(config, ChaosHarness,
+                           CampaignResult(config=config), on_outcome, workers)

@@ -9,7 +9,7 @@ not exceptions: the campaign collects them, and the shrinker uses
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 #: Recovery actions that imply the run must be flagged degraded.
 _DEGRADING_ACTIONS = ("host-fallback", "line-replay-host", "device-dead")
@@ -130,12 +130,3 @@ def check_invariants(report, baseline, program) -> List[InvariantViolation]:
         ))
 
     return violations
-
-
-def describe_outcome(violations: List[InvariantViolation],
-                     error: Optional[str]) -> str:
-    if error is not None:
-        return f"unhandled exception: {error}"
-    if not violations:
-        return "ok"
-    return "; ".join(v.render() for v in violations)

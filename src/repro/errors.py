@@ -134,16 +134,5 @@ class AdmissionError(FleetError):
     """
 
 
-class TenantIsolationError(FleetError):
-    """A tenant's faults perturbed another tenant's results.
-
-    The fleet guarantees that faults injected into tenant A's jobs
-    never change the run signature of tenant B's jobs.  The chaos
-    harness checks this invariant after every fleet run; a violation
-    means fault state leaked across the tenant boundary (the planted
-    ``--no-isolation`` bug is exactly such a leak).
-    """
-
-
 class ObservabilityError(ReproError):
     """A metrics instrument or trace exporter was used incorrectly."""

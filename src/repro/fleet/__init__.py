@@ -10,10 +10,12 @@ degrades gracefully under overload, and accounts per-tenant SLOs
 (queue-wait / end-to-end p50 and p99).
 
 Chaos campaigns over the fleet (:func:`run_fleet_campaign`, or
-``python -m repro chaos --fleet``) enforce the two rack-level
-guarantees — every admitted job terminates exactly once, in a typed
-state; tenant A's faults never perturb tenant B's run signatures —
-and ddmin-shrink any violating fleet plan to a minimal repro.
+``python -m repro chaos --fleet [--workers N]``) enforce the two
+rack-level guarantees — every admitted job terminates exactly once, in
+a typed state; tenant A's faults never perturb tenant B's run
+signatures — and ddmin-shrink any violating fleet plan to a minimal
+repro.  They run on the same campaign runner as single-machine chaos,
+so ``workers=N`` gives the same result as a serial campaign.
 """
 
 from .admission import (
@@ -31,10 +33,8 @@ from .chaos import (
     FleetCampaignResult,
     FleetChaosOutcome,
     FleetHarness,
-    FleetShrunkFailure,
     check_fleet_invariants,
     fleet_replay_command,
-    raise_for_violations,
     random_fleet_plan,
     run_fleet_campaign,
 )
@@ -72,7 +72,6 @@ __all__ = [
     "FleetConfig",
     "FleetHarness",
     "FleetReport",
-    "FleetShrunkFailure",
     "JobArrival",
     "JobOutcome",
     "JobProfile",
@@ -92,7 +91,6 @@ __all__ = [
     "device_names",
     "fleet_replay_command",
     "percentile",
-    "raise_for_violations",
     "random_fleet_plan",
     "run_fleet_campaign",
     "to_fleet_chrome_trace",

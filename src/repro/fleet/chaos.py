@@ -15,11 +15,13 @@ rack-level guarantees:
   ``TENANT_FAULT_INJECTION`` targeted must receive exactly the
   fault-free signature for each job that ran.
 
-Violating plans are minimised with the same ddmin shrinker the
-single-machine campaign uses (:func:`repro.chaos.shrink.shrink_plan`
-is generic over plans + a reproduction predicate), and reported with
-the exact CLI command that replays them.  Profiles are cached across
-the whole campaign, so shrink probes re-run only the cheap outer DES.
+:func:`run_fleet_campaign` drives a :class:`FleetHarness` through the
+same run-and-shrink loop as the single-machine campaign
+(:mod:`repro.chaos.campaign`): violating plans are ddmin-shrunk and
+reported with the exact CLI command that replays them, and
+``workers=N`` spreads the runs over processes with an identical
+result.  Profiles are cached across the whole campaign, so shrink
+probes re-run only the cheap outer DES.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..chaos.campaign import BaseCampaignResult, _run_and_shrink
 from ..chaos.invariants import InvariantViolation
-from ..chaos.shrink import ShrinkResult, render_plan, shrink_plan
 from ..config import DEFAULT_CONFIG, SystemConfig
-from ..errors import FleetError, TenantIsolationError
+from ..errors import FleetError
 from ..faults.spec import FaultKind, FaultPlan, FaultSpec
 from .fleet import (
     DEFAULT_FLEET_SCALE,
@@ -48,10 +50,8 @@ __all__ = [
     "FleetCampaignResult",
     "FleetChaosOutcome",
     "FleetHarness",
-    "FleetShrunkFailure",
     "check_fleet_invariants",
     "fleet_replay_command",
-    "raise_for_violations",
     "random_fleet_plan",
     "run_fleet_campaign",
 ]
@@ -192,22 +192,6 @@ def check_fleet_invariants(
     return violations
 
 
-def raise_for_violations(violations: List[InvariantViolation]) -> None:
-    """Raise the typed error matching the worst violation, if any.
-
-    Isolation breaches raise :class:`~repro.errors.TenantIsolationError`;
-    anything else raises :class:`~repro.errors.FleetError`.  Campaigns
-    collect violations as data instead; this is for callers that want
-    an exception (e.g. library users wrapping a single run).
-    """
-    if not violations:
-        return
-    rendered = "; ".join(v.render() for v in violations)
-    if any(v.name == "tenant-isolation" for v in violations):
-        raise TenantIsolationError(rendered)
-    raise FleetError(rendered)
-
-
 @dataclass(frozen=True)
 class FleetChaosOutcome:
     """One seeded fleet experiment, judged."""
@@ -223,6 +207,14 @@ class FleetChaosOutcome:
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    @property
+    def failure_title(self) -> str:
+        return f"FLEET FAILURE: seed={self.seed}"
+
+    def run_id(self) -> Dict[str, Any]:
+        """The fields that name this run in a failure report."""
+        return {"seed": self.seed}
 
     def summary(self) -> Dict[str, Any]:
         return {
@@ -240,28 +232,6 @@ class FleetChaosOutcome:
         payload: Dict[str, Any] = {"experiment": "fleet-chaos-run"}
         payload.update(self.summary())
         return payload
-
-
-@dataclass(frozen=True)
-class FleetShrunkFailure:
-    """A violating fleet run distilled to its minimal fleet plan."""
-
-    outcome: FleetChaosOutcome
-    shrink: ShrinkResult
-    replay_command: str
-
-    def render(self) -> str:
-        lines = [f"FLEET FAILURE: seed={self.outcome.seed}"]
-        for violation in self.outcome.violations:
-            lines.append(f"  violated  {violation.render()}")
-        lines.append(
-            f"  shrunk    {len(self.outcome.plan)} fault(s) -> "
-            f"{len(self.shrink.minimal)} ({self.shrink.probes} probe(s))"
-        )
-        for text in render_plan(self.shrink.minimal):
-            lines.append(f"    - {text}")
-        lines.append(f"  replay    {self.replay_command}")
-        return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -293,28 +263,14 @@ class FleetCampaignConfig:
             )
 
 
-@dataclass
-class FleetCampaignResult:
+class FleetCampaignResult(BaseCampaignResult):
     """Every fleet outcome plus the shrunk failures, ready to render."""
 
-    config: FleetCampaignConfig
-    outcomes: List[FleetChaosOutcome] = field(default_factory=list)
-    failures: List[FleetShrunkFailure] = field(default_factory=list)
+    experiment = "fleet-chaos-campaign"
+    subject = "fleet "
 
-    @property
-    def runs(self) -> int:
-        return len(self.outcomes)
-
-    @property
-    def violations(self) -> int:
-        return sum(len(outcome.violations) for outcome in self.outcomes)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures and all(o.ok for o in self.outcomes)
-
-    def render(self) -> str:
-        lines = [
+    def headline(self) -> List[str]:
+        return [
             f"fleet chaos campaign: {self.runs} run(s), "
             f"{self.config.device_count} device(s), "
             f"{len(self.config.tenants)} tenant(s), "
@@ -327,14 +283,6 @@ class FleetCampaignResult:
             f"  shed            : {sum(o.shed for o in self.outcomes)}",
             f"  violations      : {self.violations}",
         ]
-        for failure in self.failures:
-            lines.append("")
-            lines.append(failure.render())
-        if self.ok:
-            lines.append("  all fleet invariants held")
-        return "\n".join(lines)
-
-    # --- the common report protocol (see analysis/export.py) ---------------
 
     def summary(self) -> Dict[str, Any]:
         return {
@@ -351,21 +299,6 @@ class FleetCampaignResult:
             "shed": sum(o.shed for o in self.outcomes),
         }
 
-    def to_jsonable(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {"experiment": "fleet-chaos-campaign"}
-        payload.update(self.summary())
-        payload["outcomes"] = [o.to_jsonable() for o in self.outcomes]
-        payload["failures"] = [
-            {
-                "seed": f.outcome.seed,
-                "minimal_plan": list(render_plan(f.shrink.minimal)),
-                "shrink_probes": f.shrink.probes,
-                "replay": f.replay_command,
-            }
-            for f in self.failures
-        ]
-        return payload
-
 
 class FleetHarness:
     """Builds and judges seeded fleet runs for one campaign setting.
@@ -381,8 +314,15 @@ class FleetHarness:
         self.profiles = ProfileStore(
             system_config=config.system_config, scale=config.scale,
         )
-        self._resolved: Optional[Tuple[TenantSpec, ...]] = None
         self._horizon: Optional[float] = None
+
+    def run_list(self) -> List[Tuple[int]]:
+        """Run ``r`` is ``(base_seed + r,)``."""
+        return [(self.config.base_seed + run,)
+                for run in range(self.config.runs)]
+
+    def replay_command(self, outcome: FleetChaosOutcome) -> str:
+        return fleet_replay_command(outcome, self.config)
 
     def fleet_config(self, seed: int, plan: FaultPlan) -> FleetConfig:
         return FleetConfig(
@@ -397,15 +337,6 @@ class FleetHarness:
             no_isolation=self.config.no_isolation,
         )
 
-    def _resolved_tenants(self) -> Tuple[TenantSpec, ...]:
-        if self._resolved is None:
-            probe = Fleet(
-                self.fleet_config(seed=0, plan=FaultPlan()),
-                profiles=self.profiles,
-            )
-            self._resolved = probe.resolve_tenants()
-        return self._resolved
-
     def horizon_s(self) -> float:
         """The expected arrival span — where fleet faults are aimed.
 
@@ -414,8 +345,12 @@ class FleetHarness:
         has gone quiet.
         """
         if self._horizon is None:
-            tenants = self._resolved_tenants()
-            aggregate = sum(t.rate_jobs_per_s for t in tenants)
+            probe = Fleet(
+                self.fleet_config(seed=0, plan=FaultPlan()),
+                profiles=self.profiles,
+            )
+            aggregate = sum(t.rate_jobs_per_s
+                            for t in probe.resolve_tenants())
             self._horizon = 1.2 * self.config.job_count / aggregate
         return self._horizon
 
@@ -467,14 +402,16 @@ class FleetHarness:
         """One fully seeded fleet experiment (the replay entry point)."""
         return self.run_plan(self.plan_for(seed), seed=seed)
 
-    def reproducer(self, seed: int) -> Callable[[FaultPlan], bool]:
+    def reproducer(
+        self, outcome: FleetChaosOutcome
+    ) -> Callable[[FaultPlan], bool]:
         """Predicate for the shrinker: does this fleet plan still violate?
 
         Shrink probes keep the run's own traffic seed fixed so only the
         plan varies — the predicate is a pure function of the plan.
         """
         def reproduces(candidate: FaultPlan) -> bool:
-            return not self.run_plan(candidate, seed=seed).ok
+            return not self.run_plan(candidate, seed=outcome.seed).ok
         return reproduces
 
 
@@ -500,31 +437,13 @@ def fleet_replay_command(
 def run_fleet_campaign(
     config: FleetCampaignConfig,
     on_outcome: Optional[Callable[[FleetChaosOutcome], None]] = None,
+    workers: int = 1,
 ) -> FleetCampaignResult:
-    """Run a full fleet campaign; shrink and report every violating run."""
-    harness = FleetHarness(config)
-    result = FleetCampaignResult(config=config)
-    for run in range(config.runs):
-        seed = config.base_seed + run
-        outcome = harness.run_seed(seed)
-        result.outcomes.append(outcome)
-        if on_outcome is not None:
-            on_outcome(outcome)
-        if outcome.ok:
-            continue
-        if config.shrink_failures and len(outcome.plan) > 0:
-            shrunk = shrink_plan(
-                outcome.plan,
-                harness.reproducer(seed),
-                max_probes=config.max_shrink_probes,
-            )
-        else:
-            shrunk = ShrinkResult(
-                minimal=outcome.plan, probes=0, budget_exhausted=False,
-            )
-        result.failures.append(FleetShrunkFailure(
-            outcome=outcome,
-            shrink=shrunk,
-            replay_command=fleet_replay_command(outcome, config),
-        ))
-    return result
+    """Run a full fleet campaign; shrink and report every violating run.
+
+    ``workers`` processes share the runs; the result is the same for
+    any worker count.
+    """
+    return _run_and_shrink(config, FleetHarness,
+                           FleetCampaignResult(config=config), on_outcome,
+                           workers)

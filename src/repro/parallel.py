@@ -1,59 +1,35 @@
-"""Parallel chaos-campaign execution over a process pool.
+"""Deterministic fan-out over a process pool.
 
-A campaign is embarrassingly parallel: every run is derived entirely
-from ``(workload, seed, fault_count, scale, config)`` on a fresh
-machine, so run ``r`` can execute in any process without changing its
-outcome.  This module partitions the campaign's run indices across a
-:class:`~concurrent.futures.ProcessPoolExecutor` while keeping the
-result **bit-identical** to :func:`~repro.chaos.campaign.run_campaign`:
+:func:`ordered_pool_imap` and :func:`ordered_pool_map` run a pure
+function over a list of items on a
+:class:`~concurrent.futures.ProcessPoolExecutor` and return results in
+input order, so for a deterministic function the result equals the
+serial comprehension.  Chaos campaigns (``run_campaign(...,
+workers=N)``, ``run_fleet_campaign(..., workers=N)``) and the plan
+search's step table run on them.
 
-- the task list ``[(workloads[r % len(workloads)], base_seed + r)]`` is
-  exactly the serial iteration order, and ``Executor.map`` returns
-  results in submission order, so ``CampaignResult.outcomes`` is the
-  same list;
-- shrinking of violating plans stays in the parent process, sequential
-  and in run order, so ``failures`` and their replay commands match the
-  serial runner's byte for byte.
-
-Workers are seeded with a :class:`~repro.chaos.campaign.ChaosHarness`.
-On platforms with ``fork`` (the common Linux case) the parent builds
-the harness — including the fault-free baselines every plan is drawn
-over — *before* the pool starts, and children inherit the warm state
-for free.  Where only ``spawn`` is available each worker rebuilds the
-harness from the (picklable) campaign parameters in its initializer.
+Workers are started with ``fork`` where the platform has it, so state
+the parent installs in a module global before the pool starts (a warm
+campaign harness, a speculative machine) is inherited for free; where
+only ``spawn`` is available the caller's ``initializer`` rebuilds it.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional
 
-from .chaos.campaign import (
-    CampaignConfig,
-    CampaignResult,
-    ChaosHarness,
-    ChaosRunOutcome,
-    ShrunkFailure,
-    replay_command,
-    run_campaign,
-)
-from .chaos.shrink import ShrinkResult, shrink_plan
-from .config import SystemConfig
 from .errors import ChaosError
+
+if TYPE_CHECKING:
+    from multiprocessing.context import BaseContext
 
 __all__ = [
     "default_workers",
     "merge_metric_snapshots",
+    "ordered_pool_imap",
     "ordered_pool_map",
-    "run_campaign_parallel",
 ]
-
-#: Harness the pool workers run seeds on.  Under ``fork`` the parent
-#: sets this (pre-warmed) before the pool starts and children inherit
-#: it; under ``spawn`` the initializer builds it per worker.
-_WORKER_HARNESS: Optional[ChaosHarness] = None
 
 
 def default_workers() -> int:
@@ -61,38 +37,54 @@ def default_workers() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _init_worker(
-    system_config: SystemConfig,
-    scale: float,
-    fault_count: int,
-    collect_metrics: bool,
-    silent_corruption: bool,
-) -> None:
-    global _WORKER_HARNESS
-    if _WORKER_HARNESS is None:
-        _WORKER_HARNESS = ChaosHarness(
-            system_config=system_config,
-            scale=scale,
-            fault_count=fault_count,
-            collect_metrics=collect_metrics,
-            silent_corruption=silent_corruption,
-        )
+def _pool_context() -> BaseContext:
+    """Prefer ``fork`` (inherits parent state); fall back to spawn."""
+    # multiprocessing and concurrent.futures are imported only when a
+    # pool starts: the chaos runner and plan search import this module,
+    # and most processes that do never start a pool.
+    import multiprocessing
 
-
-def _run_task(task: Tuple[str, int]) -> ChaosRunOutcome:
-    workload_name, seed = task
-    harness = _WORKER_HARNESS
-    if harness is None:  # pragma: no cover - initializer always ran
-        raise ChaosError("campaign worker started without a harness")
-    return harness.run_seed(workload_name, seed)
-
-
-def _pool_context() -> multiprocessing.context.BaseContext:
-    """Prefer ``fork`` (inherits the warm harness); fall back to spawn."""
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
         return multiprocessing.get_context()
+
+
+def ordered_pool_imap(
+    fn: Callable[[Any], Any],
+    items: List[Any],
+    *,
+    workers: int,
+    initializer: Optional[Callable[[], None]] = None,
+) -> Iterator[Any]:
+    """Yield ``fn(x)`` for each ``x`` in ``items``, in input order.
+
+    Results stream back as they complete, in submission order (via
+    ``Executor.map``), so for a ``fn`` that is a pure function of its
+    item (given worker state the parent installs before the pool
+    forks) the stream is bit-identical to the serial one.
+
+    ``fn`` (and ``initializer``, used to rebuild worker state under
+    ``spawn``) must pickle: module-level callables or partials of them.
+    ``workers <= 1`` or fewer than two items runs serially in this
+    process without touching multiprocessing at all.
+    """
+    if workers < 1:
+        raise ChaosError(f"workers must be at least 1, got {workers}")
+    if workers == 1 or len(items) < 2:
+        if initializer is not None:
+            initializer()
+        for item in items:
+            yield fn(item)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        max_workers=min(workers, len(items)),
+        mp_context=_pool_context(),
+        initializer=initializer,
+    ) as pool:
+        yield from pool.map(fn, items)
 
 
 def ordered_pool_map(
@@ -104,110 +96,11 @@ def ordered_pool_map(
 ) -> List[Any]:
     """``[fn(x) for x in items]`` across a pool, results in input order.
 
-    The deterministic fan-out the campaign runner uses, factored out
-    for any caller whose ``fn`` is a pure function of its item (given
-    worker state the parent installs before the pool forks): results
-    come back in submission order via ``Executor.map``, so for a
-    deterministic ``fn`` the returned list is bit-identical to the
-    serial comprehension — the property the plan search's
-    ``workers=N == workers=1`` guarantee rests on.
-
-    ``fn`` (and ``initializer``, used to rebuild worker state under
-    ``spawn``) must be module-level callables so they pickle.
-    ``workers <= 1`` or fewer than two items short-circuits to the
-    serial comprehension without touching multiprocessing at all.
+    The list form of :func:`ordered_pool_imap`; the plan search's
+    ``workers=N == workers=1`` guarantee rests on it.
     """
-    if workers < 1:
-        raise ChaosError(f"workers must be at least 1, got {workers}")
-    if workers == 1 or len(items) < 2:
-        if initializer is not None:
-            initializer()
-        return [fn(item) for item in items]
-    context = _pool_context()
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(items)),
-        mp_context=context,
-        initializer=initializer,
-    ) as pool:
-        return list(pool.map(fn, items))
-
-
-def run_campaign_parallel(
-    config: CampaignConfig,
-    workers: int,
-    on_outcome: Optional[Callable[[ChaosRunOutcome], None]] = None,
-) -> CampaignResult:
-    """Run a campaign across ``workers`` processes.
-
-    Produces the same :class:`CampaignResult` as the serial
-    :func:`~repro.chaos.campaign.run_campaign` for the same config —
-    same outcomes in the same order, same shrunk failures — it just
-    gets there on more cores.  ``on_outcome`` fires in the parent, in
-    run order, as results stream back.
-    """
-    if workers < 1:
-        raise ChaosError(f"workers must be at least 1, got {workers}")
-    if workers == 1 or config.runs == 1:
-        return run_campaign(config, on_outcome=on_outcome)
-
-    global _WORKER_HARNESS
-    harness = ChaosHarness(
-        system_config=config.system_config,
-        scale=config.scale,
-        fault_count=config.fault_count,
-        collect_metrics=config.collect_metrics,
-        silent_corruption=config.silent_corruption,
-    )
-    context = _pool_context()
-    if context.get_start_method() == "fork":
-        # Pre-warm the baselines the fault plans are drawn over so every
-        # forked child inherits them instead of recomputing per worker.
-        for name in config.workloads:
-            harness.baseline(name)
-    tasks = [
-        (config.workloads[run % len(config.workloads)],
-         config.base_seed + run)
-        for run in range(config.runs)
-    ]
-    result = CampaignResult(config=config)
-    _WORKER_HARNESS = harness
-    try:
-        with ProcessPoolExecutor(
-            max_workers=min(workers, config.runs),
-            mp_context=context,
-            initializer=_init_worker,
-            initargs=(config.system_config, config.scale,
-                      config.fault_count, config.collect_metrics,
-                      config.silent_corruption),
-        ) as pool:
-            for outcome in pool.map(_run_task, tasks):
-                result.outcomes.append(outcome)
-                if on_outcome is not None:
-                    on_outcome(outcome)
-    finally:
-        _WORKER_HARNESS = None
-    # Shrinking stays sequential in the parent: it is a bisection over
-    # re-runs, inherently serial, and doing it here keeps failure order
-    # and probe counts identical to the serial runner.
-    for outcome in result.outcomes:
-        if outcome.ok:
-            continue
-        if config.shrink_failures and len(outcome.plan) > 0:
-            shrunk = shrink_plan(
-                outcome.plan,
-                harness.reproducer(outcome.workload),
-                max_probes=config.max_shrink_probes,
-            )
-        else:
-            shrunk = ShrinkResult(
-                minimal=outcome.plan, probes=0, budget_exhausted=False,
-            )
-        result.failures.append(ShrunkFailure(
-            outcome=outcome,
-            shrink=shrunk,
-            replay_command=replay_command(outcome, config),
-        ))
-    return result
+    return list(ordered_pool_imap(fn, items, workers=workers,
+                                  initializer=initializer))
 
 
 def merge_metric_snapshots(

@@ -57,6 +57,7 @@ from ..hw.topology import Machine, build_machine
 from ..lang.dataset import Dataset
 from ..lang.program import Program
 from ..obs import Observability
+from ..parallel import ordered_pool_map
 from .codegen import CodeGenerator, ExecutionMode
 from .estimator import LineEstimate
 from .executor import PlanExecutor
@@ -317,8 +318,8 @@ class _SpeculativeMachine:
 
 #: Worker-side speculative machine for parallel step evaluation.  Set
 #: by the parent before the pool forks (children inherit it) and by
-#: the initializer otherwise — the same pattern as
-#: :data:`repro.parallel._WORKER_HARNESS`.
+#: the initializer otherwise — the same pattern as the campaign
+#: runner's pool harness in :mod:`repro.chaos.campaign`.
 _WORKER_SPEC: Optional[_SpeculativeMachine] = None
 _WORKER_CONTEXT: Optional[Tuple[Program, Dataset, SystemConfig]] = None
 
@@ -367,11 +368,6 @@ def _measure_steps(
     global _WORKER_SPEC, _WORKER_CONTEXT
     if workers <= 1 or len(keys) < 2:
         return {key: spec.step_seconds(key) for key in keys}
-    # Imported lazily: repro.parallel pulls the chaos harness, which
-    # imports the runtime — a cycle at module-import time, not at call
-    # time.
-    from ..parallel import ordered_pool_map
-
     _WORKER_SPEC = spec
     _WORKER_CONTEXT = (program, dataset, config)
     try:

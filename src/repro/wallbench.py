@@ -16,7 +16,7 @@ Two scenarios:
 
 ``parallel_campaign``
     A chaos campaign with the performance layer on (profile cache +
-    ``run_campaign_parallel``) vs. the pre-layer baseline (cache
+    ``run_campaign(..., workers=N)``) vs. the pre-layer baseline (cache
     disabled, serial loop).  Outcomes are asserted identical.
 
 Wall numbers vary machine to machine, so the perf gate checks the
@@ -40,7 +40,6 @@ from .chaos.campaign import CampaignConfig, run_campaign
 from .config import DEFAULT_CONFIG
 from .errors import ReproError
 from .hw.topology import build_machine
-from .parallel import run_campaign_parallel
 from .runtime.activepy import ActivePy
 from .runtime.profcache import ProfileCache
 from .workloads import get_workload
@@ -64,17 +63,17 @@ CAMPAIGN_WORKERS = 4
 
 
 @contextmanager
-def _profcache_disabled():
-    """Run a block with the process-wide profile cache off."""
-    previous = os.environ.get("REPRO_PROFCACHE")
-    os.environ["REPRO_PROFCACHE"] = "0"
+def _environ(name: str, value: str):
+    """Run a block with one environment variable set, then restore it."""
+    previous = os.environ.get(name)
+    os.environ[name] = value
     try:
         yield
     finally:
         if previous is None:
-            del os.environ["REPRO_PROFCACHE"]
+            del os.environ[name]
         else:
-            os.environ["REPRO_PROFCACHE"] = previous
+            os.environ[name] = previous
 
 
 def bench_warm_run(
@@ -138,29 +137,23 @@ def bench_parallel_campaign(
 
     The baseline arm is the pre-layer behaviour: profile cache disabled
     and the serial campaign loop.  The layer arm runs the same campaign
-    through :func:`~repro.parallel.run_campaign_parallel` with a fresh
-    cache directory.  Both arms skip per-run metric snapshots so the
-    comparison is runner vs. runner, not snapshot cost.
+    through :func:`~repro.chaos.campaign.run_campaign` on ``workers``
+    processes with a fresh cache directory.  Both arms skip per-run
+    metric snapshots so the comparison is runner vs. runner, not
+    snapshot cost.
     """
     config = CampaignConfig(runs=runs, scale=scale, collect_metrics=False)
 
-    with _profcache_disabled():
+    with _environ("REPRO_PROFCACHE", "0"):
         start = time.perf_counter()
         serial = run_campaign(config)
         serial_s = time.perf_counter() - start
 
-    with tempfile.TemporaryDirectory(prefix="repro-wallbench-") as tmp:
-        previous = os.environ.get("REPRO_CACHE_DIR")
-        os.environ["REPRO_CACHE_DIR"] = tmp
-        try:
-            start = time.perf_counter()
-            parallel = run_campaign_parallel(config, workers=workers)
-            parallel_s = time.perf_counter() - start
-        finally:
-            if previous is None:
-                del os.environ["REPRO_CACHE_DIR"]
-            else:
-                os.environ["REPRO_CACHE_DIR"] = previous
+    with tempfile.TemporaryDirectory(prefix="repro-wallbench-") as tmp, \
+            _environ("REPRO_CACHE_DIR", tmp):
+        start = time.perf_counter()
+        parallel = run_campaign(config, workers=workers)
+        parallel_s = time.perf_counter() - start
 
     serial_outcomes = [outcome.summary() for outcome in serial.outcomes]
     parallel_outcomes = [outcome.summary() for outcome in parallel.outcomes]

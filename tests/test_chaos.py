@@ -37,7 +37,8 @@ BUGGED_CONFIG = dataclasses.replace(DEFAULT_CONFIG, checkpoint_validate=False)
 
 @pytest.fixture(scope="module")
 def harness():
-    return ChaosHarness(scale=SCALE, fault_count=3)
+    return ChaosHarness(CampaignConfig(scale=SCALE, fault_count=3,
+                                       collect_metrics=False))
 
 
 class TestInvariants:
@@ -204,15 +205,18 @@ class TestCampaign:
         assert "--no-validate" in failure.replay_command
 
     def test_planted_seed_is_clean_with_validation_on(self):
-        harness = ChaosHarness(scale=PLANTED_SCALE, fault_count=3)
+        harness = ChaosHarness(CampaignConfig(
+            scale=PLANTED_SCALE, fault_count=3, collect_metrics=False,
+        ))
         outcome = harness.run_seed(PLANTED_WORKLOAD, PLANTED_SEED)
         assert outcome.ok
         assert outcome.degraded  # the crash still demotes the run
 
     def test_replay_command_round_trips_the_failure(self):
-        harness = ChaosHarness(
+        harness = ChaosHarness(CampaignConfig(
             system_config=BUGGED_CONFIG, scale=PLANTED_SCALE, fault_count=3,
-        )
+            collect_metrics=False,
+        ))
         outcome = harness.run_seed(PLANTED_WORKLOAD, PLANTED_SEED)
         assert not outcome.ok
         command = replay_command(

@@ -13,7 +13,7 @@ import pytest
 
 import dataclasses
 
-from repro.chaos import ChaosHarness, check_invariants
+from repro.chaos import CampaignConfig, ChaosHarness, check_invariants
 from repro.config import DEFAULT_CONFIG
 from repro.faults import FaultKind, FaultPlan
 from repro.faults.spec import FLEET_KINDS, SILENT_KINDS
@@ -22,13 +22,17 @@ from repro.workloads import get_workload, workload_names
 #: Tiny inputs: a full (workload x kind) sweep stays in seconds.
 SCALE = 2 ** -7
 
-_HARNESS = ChaosHarness(scale=SCALE, fault_count=1)
+def _harness(**knobs) -> ChaosHarness:
+    return ChaosHarness(CampaignConfig(scale=SCALE, collect_metrics=False,
+                                       **knobs))
+
+
+_HARNESS = _harness(fault_count=1)
 
 #: Silent-corruption kinds are only survivable with the integrity layer
 #: on — that pairing is the product contract (chaos --sdc enables both).
-_INTEGRITY_HARNESS = ChaosHarness(
+_INTEGRITY_HARNESS = _harness(
     system_config=dataclasses.replace(DEFAULT_CONFIG, integrity_enabled=True),
-    scale=SCALE,
     fault_count=1,
 )
 
@@ -70,7 +74,7 @@ def test_single_fault_never_escapes(workload_name, kind):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_multi_fault_seeds_hold_invariants(seed):
     """A few denser plans on one representative workload."""
-    harness = ChaosHarness(scale=SCALE, fault_count=4)
+    harness = _harness(fault_count=4)
     outcome = harness.run_seed("tpch_q6", seed)
     assert outcome.ok, "; ".join(v.render() for v in outcome.violations)
 

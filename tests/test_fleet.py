@@ -259,6 +259,15 @@ class TestConfigValidation:
         with pytest.raises(FleetError, match="not one of this fleet's"):
             FleetConfig(device_count=2, plan=plan)
 
+    def test_unknown_workload_rejected_on_every_lookup(self, store):
+        # The name check sits on the cache-miss path; an unknown name
+        # never becomes a cache key, so a repeat lookup still raises.
+        for _ in range(2):
+            with pytest.raises(FleetError, match="unknown workload"):
+                store.profile("no_such_workload")
+        with pytest.raises(FleetError, match="unknown workload"):
+            store.baseline("no_such_workload")
+
     def test_device_names_shape(self):
         assert device_names(3) == ("csd", "csd1", "csd2")
         with pytest.raises(FleetError):

@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.errors import FleetError, TenantIsolationError
+from repro.cli import main
+from repro.errors import FleetError
 from repro.faults.spec import FLEET_KINDS, FaultKind, FaultPlan, FaultSpec
 from repro.fleet import (
     FleetCampaignConfig,
     FleetHarness,
     check_fleet_invariants,
     fleet_replay_command,
-    raise_for_violations,
     random_fleet_plan,
     run_fleet_campaign,
 )
@@ -163,24 +163,6 @@ class TestInvariantChecker:
         violations = check_fleet_invariants(report, plan, harness.profiles)
         assert not any(v.name == "tenant-isolation" for v in violations)
 
-    def test_raise_for_violations_types(self, harness):
-        baseline = harness.profiles.baseline("kmeans")
-        bad = tuple(baseline.signature[:2]) + ("deadbeef",)
-        report = self._report([self._outcome(signature=bad)])
-        violations = check_fleet_invariants(
-            report, FaultPlan(), harness.profiles,
-        )
-        with pytest.raises(TenantIsolationError):
-            raise_for_violations(violations)
-        report = self._report([self._outcome(status="vanished")])
-        violations = check_fleet_invariants(
-            report, FaultPlan(), harness.profiles,
-        )
-        violations = [v for v in violations if v.name != "tenant-isolation"]
-        with pytest.raises(FleetError):
-            raise_for_violations(violations)
-        raise_for_violations([])  # no violations, no raise
-
 
 class TestReplayCommand:
     def test_command_shape(self, harness):
@@ -190,3 +172,37 @@ class TestReplayCommand:
         assert "--seed 2" in command
         assert "--devices 4" in command
         assert "--jobs 16" in command
+
+
+def _assert_same_campaign(serial, pooled):
+    assert [o.summary() for o in serial.outcomes] == \
+           [o.summary() for o in pooled.outcomes]
+    assert [o.plan for o in serial.outcomes] == \
+           [o.plan for o in pooled.outcomes]
+    assert serial.summary() == pooled.summary()
+    assert serial.to_jsonable() == pooled.to_jsonable()
+
+
+class TestWorkers:
+    def test_workers2_same_result_as_workers1(self):
+        config = FleetCampaignConfig(runs=4, job_count=_JOBS, base_seed=3)
+        _assert_same_campaign(run_fleet_campaign(config, workers=1),
+                              run_fleet_campaign(config, workers=2))
+
+    def test_planted_failures_shrink_the_same_on_workers(self):
+        config = FleetCampaignConfig(
+            runs=3, job_count=24, base_seed=1, no_isolation=True,
+        )
+        serial = run_fleet_campaign(config, workers=1)
+        pooled = run_fleet_campaign(config, workers=2)
+        _assert_same_campaign(serial, pooled)
+        assert serial.failures
+        assert len(serial.failures) == len(pooled.failures)
+        for ours, theirs in zip(pooled.failures, serial.failures):
+            assert ours.shrink.minimal == theirs.shrink.minimal
+            assert ours.shrink.probes == theirs.shrink.probes
+            assert ours.replay_command == theirs.replay_command
+
+    def test_cli_rejects_zero_workers(self, capsys):
+        assert main(["chaos", "--fleet", "--runs", "2", "--workers", "0"]) == 2
+        assert "--workers must be at least 1" in capsys.readouterr().err

@@ -16,7 +16,7 @@ import dataclasses
 
 import pytest
 
-from repro.chaos import ChaosHarness
+from repro.chaos import CampaignConfig, ChaosHarness
 from repro.chaos.invariants import check_invariants, run_signature
 from repro.config import DEFAULT_CONFIG
 from repro.errors import FaultError, IntegrityError
@@ -51,6 +51,11 @@ def _run(config, workload_name="tpch_q6", plan=None, obs=None):
         workload.program, workload.dataset, machine=machine,
         options=RunOptions(fault_plan=plan, obs=obs),
     )
+
+
+def _harness(config):
+    return ChaosHarness(CampaignConfig(system_config=config, scale=SCALE,
+                                       fault_count=1, collect_metrics=False))
 
 
 def _silent_nand_plan(baseline, count=2, persistent=False):
@@ -363,7 +368,7 @@ class TestCorruptionInvariant:
         assert signature[-1] == report.result.output_digest
 
     def test_undetected_corruption_violates(self):
-        harness = ChaosHarness(scale=SCALE, fault_count=1)
+        harness = _harness(DEFAULT_CONFIG)
         baseline = harness.baseline("tpch_q6")
         plan = _silent_nand_plan(baseline)
         outcome = harness.run_plan("tpch_q6", plan)
@@ -372,9 +377,7 @@ class TestCorruptionInvariant:
         assert "result-equality" in names
 
     def test_detected_corruption_does_not_violate(self):
-        harness = ChaosHarness(
-            system_config=INTEGRITY_ON, scale=SCALE, fault_count=1,
-        )
+        harness = _harness(INTEGRITY_ON)
         baseline = harness.baseline("tpch_q6")
         plan = _silent_nand_plan(baseline)
         outcome = harness.run_plan("tpch_q6", plan)
@@ -383,7 +386,7 @@ class TestCorruptionInvariant:
     def test_loud_faults_keep_matching_the_baseline_signature(self):
         """Recovered loud runs still match — the digest never perturbs
         result-equality for runs whose data stayed clean."""
-        harness = ChaosHarness(scale=SCALE, fault_count=1)
+        harness = _harness(DEFAULT_CONFIG)
         baseline = harness.baseline("tpch_q6")
         plan = FaultPlan(seed=3, specs=(FaultSpec(
             kind=FaultKind.CSE_CRASH,
@@ -395,9 +398,7 @@ class TestCorruptionInvariant:
 
     def test_baseline_satisfies_invariants_with_integrity_on(self):
         workload = get_workload("tpch_q6", scale=SCALE)
-        harness = ChaosHarness(
-            system_config=INTEGRITY_ON, scale=SCALE, fault_count=1,
-        )
+        harness = _harness(INTEGRITY_ON)
         baseline = harness.baseline("tpch_q6")
         assert check_invariants(baseline, baseline, workload.program) == []
 

@@ -1,14 +1,10 @@
-"""The parallel campaign runner matches the serial one bit for bit."""
+"""Campaigns on worker processes match the serial campaign bit for bit."""
 
 import pytest
 
 from repro.chaos.campaign import CampaignConfig, run_campaign
 from repro.errors import ChaosError
-from repro.parallel import (
-    default_workers,
-    merge_metric_snapshots,
-    run_campaign_parallel,
-)
+from repro.parallel import default_workers, merge_metric_snapshots
 
 #: Small scale so the workers-vs-serial comparison runs in seconds.
 SCALE = 2 ** -8
@@ -19,8 +15,8 @@ class TestParallelMatchesSerial:
         config = CampaignConfig(
             runs=8, base_seed=0, scale=SCALE, collect_metrics=True,
         )
-        serial = run_campaign_parallel(config, workers=1)
-        parallel = run_campaign_parallel(config, workers=4)
+        serial = run_campaign(config, workers=1)
+        parallel = run_campaign(config, workers=4)
         assert [o.summary() for o in serial.outcomes] == \
                [o.summary() for o in parallel.outcomes]
         assert [o.plan for o in serial.outcomes] == \
@@ -33,13 +29,13 @@ class TestParallelMatchesSerial:
     def test_parallel_matches_plain_run_campaign(self):
         config = CampaignConfig(runs=5, base_seed=11, scale=SCALE,
                                 collect_metrics=False)
-        assert (run_campaign(config).summary()
-                == run_campaign_parallel(config, workers=3).summary())
+        assert (run_campaign(config).to_jsonable()
+                == run_campaign(config, workers=3).to_jsonable())
 
     def test_on_outcome_streams_in_run_order(self):
         config = CampaignConfig(runs=6, scale=SCALE, collect_metrics=False)
         seen = []
-        run_campaign_parallel(config, workers=4,
+        run_campaign(config, workers=4,
                               on_outcome=lambda o: seen.append(o.seed))
         assert seen == [config.base_seed + r for r in range(6)]
 
@@ -57,7 +53,7 @@ class TestParallelMatchesSerial:
             system_config=buggy, collect_metrics=False,
         )
         serial = run_campaign(config)
-        parallel = run_campaign_parallel(config, workers=4)
+        parallel = run_campaign(config, workers=4)
         assert serial.violations == parallel.violations
         assert len(serial.failures) == len(parallel.failures)
         for ours, theirs in zip(parallel.failures, serial.failures):
@@ -69,7 +65,7 @@ class TestParallelMatchesSerial:
     def test_workers_must_be_positive(self):
         config = CampaignConfig(runs=2, scale=SCALE)
         with pytest.raises(ChaosError, match="workers"):
-            run_campaign_parallel(config, workers=0)
+            run_campaign(config, workers=0)
 
     def test_default_workers_at_least_one(self):
         assert default_workers() >= 1
@@ -119,7 +115,7 @@ class TestMergeMetricSnapshots:
 
     def test_merged_over_real_campaign(self):
         config = CampaignConfig(runs=4, scale=SCALE, collect_metrics=True)
-        result = run_campaign_parallel(config, workers=2)
+        result = run_campaign(config, workers=2)
         merged = merge_metric_snapshots(
             [o.metrics for o in result.outcomes if o.metrics]
         )
