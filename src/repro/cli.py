@@ -71,14 +71,21 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from .errors import ConfigError
     from .hw.topology import build_machine
+    from .runtime.executor import check_progress_triggers
 
+    triggers = [(0.5, args.stress)] if args.stress is not None else []
+    try:
+        check_progress_triggers(triggers)
+    except ConfigError as exc:
+        print(f"repro run: error: --stress: {exc}", file=sys.stderr)
+        return 2
     workload = get_workload(args.workload, scale=args.scale)
     print(f"running {workload.name} at scale {args.scale} "
           f"({format_bytes(workload.raw_bytes)})")
     baseline = run_c_baseline(workload.program, workload.dataset)
     machine = build_machine()
-    triggers = [(0.5, args.stress)] if args.stress is not None else []
     fault_plan = None
     if args.fault_count:
         from .config import DEFAULT_CONFIG

@@ -26,7 +26,9 @@ from ..lang.program import Program
 from ..obs import Observability
 from .codegen import CodeGenerator, CompiledProgram, ExecutionMode
 from .estimator import LineEstimate, build_estimates
-from .executor import ExecutionResult, PlanExecutor, ProgressTrigger
+from .executor import (
+    ExecutionResult, PlanExecutor, ProgressTrigger, check_progress_triggers,
+)
 from .explain import PREDICTION_ERROR_BUCKETS, PlanExplanation, explain_plan
 from .planner import Plan, assign_csd_code
 from .plansearch import SearchOptions, SearchReport, search_plan
@@ -52,7 +54,8 @@ class RunOptions:
     progress_triggers:
         Experiment machinery: ``(progress_fraction, availability)``
         pairs that throttle the CSE when the offloaded work crosses a
-        progress fraction (the paper's Figure 5 study).
+        progress fraction (the paper's Figure 5 study).  Fractions
+        lie in [0, 1] and availabilities in (0, 1].
     fault_plan:
         Deterministic fault injection (:mod:`repro.faults`) armed
         before execution.
@@ -78,6 +81,7 @@ class RunOptions:
     search_options: Optional[SearchOptions] = None
 
     def __post_init__(self) -> None:
+        check_progress_triggers(self.progress_triggers)
         if self.plan_mode is not None and self.plan_mode not in PLAN_MODES:
             raise PlanningError(
                 f"invalid plan_mode {self.plan_mode!r}; expected one of "

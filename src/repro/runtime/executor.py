@@ -21,20 +21,21 @@ the remote BAR path.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..analysis.timeline import ExecutionTimeline
-from ..errors import CseCrashError, FaultError, MigrationError, ProgramError
+from ..errors import (
+    ConfigError, CseCrashError, FaultError, MigrationError, ProgramError,
+)
 from ..faults import FaultEvent, FaultLog
 from ..hw.topology import Machine
 from ..integrity import CLEAN_DIGEST, IntegrityChecker
-from ..lang.program import Program, Statement
+from ..lang.program import Statement
 from .checkpoint import CheckpointManager
 from .codegen import CompiledProgram
 from .dispatch import CallQueueDispatcher, StatusUpdate
 from .estimator import LineEstimate
 from .migration import MigrationEvent, migration_cost_estimate, perform_migration
-from .monitor import RuntimeMonitor
+from .monitor import MonitorDecision, RuntimeMonitor
 from .planner import CSD, HOST
 
 #: IPC drift lives in [0, 1]; the time-decade default buckets would
@@ -136,14 +137,51 @@ class ExecutionResult:
 ProgressTrigger = Tuple[float, float]  # (csd-progress fraction, new availability)
 
 
+def check_progress_triggers(triggers: Sequence[ProgressTrigger]) -> None:
+    """Reject triggers that could never fire or that the CSE would refuse.
+
+    Offloaded progress runs from 0 to 1, so a fraction outside [0, 1]
+    (or NaN) never fires; the CSE accepts availabilities in (0, 1].
+    """
+    for fraction, availability in triggers:
+        if not (0.0 <= fraction <= 1.0 and 0.0 < availability <= 1.0):
+            raise ConfigError(
+                f"progress trigger ({fraction}, {availability}) needs a "
+                "finite fraction in [0, 1] and an availability in (0, 1]"
+            )
+
+
+class _LineWork(NamedTuple):
+    """One line's ground-truth work at the run's input size."""
+
+    index: int
+    statement: Statement
+    d_in: float
+    storage_total: float
+    instr_total: float
+    chunks: int
+    multiplier: float
+
+
+#: Trace resource of a line that started on the CSD and finished on
+#: the host (migrated or fell back mid-line).
+_MIXED = f"{CSD}+host"
+
+
 class PlanExecutor:
-    """Runs a compiled program under a plan, with optional migration."""
+    """Runs a compiled program under a plan, with optional migration.
+
+    One executor serves one run: :meth:`execute` drives :meth:`run_line`
+    over every line and then :meth:`read_back`, keeping the run's state
+    (where the live value is, whether the run migrated or degraded) on
+    the instance.  Plan search calls :meth:`run_line` and
+    :meth:`read_back` directly to measure one step on a forked machine.
+    """
 
     def __init__(
         self,
         machine: Machine,
         migration_enabled: bool = True,
-        timeline: Optional[ExecutionTimeline] = None,
         device=None,
         fault_log: Optional[FaultLog] = None,
     ) -> None:
@@ -157,7 +195,6 @@ class PlanExecutor:
         self.checkpoints = CheckpointManager(
             device=self.device, config=machine.config, fault_log=self.fault_log
         )
-        self.timeline = timeline
         self.obs = machine.obs
         self.integrity = IntegrityChecker(
             config=machine.config,
@@ -166,12 +203,30 @@ class PlanExecutor:
             obs=self.obs,
         )
         self.chunk_replays = 0
-        self._chunk_ledger: Dict[int, int] = {}
+        self._reset({})
 
-    def _trace(self, start: float, resource: str, kind: str, label: str) -> None:
-        if self.timeline is not None:
-            self.timeline.record(start, self.machine.now, resource, kind, label)
-        self.obs.record_span(label, kind, resource, start, self.machine.now)
+    def _reset(
+        self,
+        estimates: Dict[int, LineEstimate],
+        triggers: Sequence[ProgressTrigger] = (),
+        total_csd_instr: float = 1.0,
+    ) -> None:
+        """Start a run: the live value on the host, nothing migrated."""
+        self.estimates = estimates
+        self.value_location = HOST
+        #: Once true, every remaining line runs on the host.
+        self.migrated = False
+        #: A fault forced work off its planned unit.
+        self.degraded = False
+        self.last_migration_at = -float("inf")
+        self.timings: List[LineTiming] = []
+        self.migrations: List[MigrationEvent] = []
+        #: Chunks executed per line index, replays included.
+        self._chunk_ledger: Dict[int, int] = {}
+        #: Progress triggers not yet fired, in firing order.
+        self._triggers = list(triggers)
+        self._total_csd_instr = total_csd_instr
+        self.csd_instr_done = 0.0
 
     # --- public entry ----------------------------------------------------
 
@@ -181,326 +236,39 @@ class PlanExecutor:
         n_records: int,
         progress_triggers: Sequence[ProgressTrigger] = (),
     ) -> ExecutionResult:
+        check_progress_triggers(progress_triggers)
         if n_records <= 0:
             raise ProgramError(f"n_records must be positive, got {n_records}")
         machine = self.machine
         program = compiled.program
         plan = compiled.plan
-        estimates = self._estimates_by_index(plan.estimates)
+        estimates = {e.index: e for e in plan.estimates}
         if self.migration_enabled and not estimates:
             raise MigrationError(
                 "migration needs the plan's line estimates for re-estimation"
             )
-
         n = float(n_records)
-        multiplier = compiled.multiplier
-        self._chunk_ledger = {index: 0 for index in range(len(program))}
+        total_csd_instr = sum(
+            statement.instructions(n)
+            for statement, where in zip(program, plan.assignments)
+            if where == CSD
+        ) or 1.0
+        self._reset(estimates, sorted(progress_triggers), total_csd_instr)
         started = machine.now
         d2h_before = machine.d2h_link.bytes_transferred
         remote_before = machine.remote_access_link.bytes_transferred
-
-        total_csd_instr = self._total_csd_instructions(program, plan, n)
-        triggers = sorted(progress_triggers)
-        trigger_cursor = 0
-        csd_instr_done = 0.0
-
-        timings: List[LineTiming] = []
-        migrations: List[MigrationEvent] = []
-        value_location = HOST
-        migrated = False  # once true, every remaining line runs on the host
-        degraded = False  # a fault forced work off its planned unit
-        last_migration_at = -float("inf")
-
-        for index, statement in enumerate(program):
-            planned = plan.assignments[index]
-            location = HOST if migrated else planned
-            cooled_down = (
-                machine.now - last_migration_at
-                >= machine.config.readmission_cooldown_s
-            )
-            if (
-                migrated and planned == CSD
-                and cooled_down
-                and self._device_recovered()
-                and self._readmission_profitable(estimates.get(index))
-            ):
-                # Re-admission (extension beyond the paper): the
-                # device's status page reports a healthy rate again and
-                # the line's Equation-1 economics still favour it, so
-                # it returns to its planned home.
-                location = CSD
-                migrated = False
-            line_start = machine.now
-            d_in = program.input_bytes(index, n)
-            storage_total = statement.storage_bytes(n)
-            instr_total = statement.instructions(n) * multiplier
-            chunks = statement.chunks
-
-            # Ship the input value if it lives on the other unit.  A
-            # post-migration host line whose input was produced on the
-            # CSD reads it remotely instead (live data stays put).
-            input_remote = False
-            if location != value_location and d_in > 0:
-                if migrated and value_location == CSD:
-                    input_remote = True
-                else:
-                    transfer_start = machine.now
-                    self._verified_move(
-                        machine.d2h_link, d_in, multiplier,
-                        key=f"input.line{index}",
-                    )
-                    self._trace(transfer_start, "d2h", "transfer",
-                                f"{statement.name}.input")
-
-            if location == CSD:
-                try:
-                    command_id = self.dispatcher.invoke(
-                        statement.name,
-                        compiled.device_binaries.get(statement.name),
-                    )
-                except FaultError as exc:
-                    # The device would not even accept the call (stalled
-                    # queue pair beyond the deadline): run the whole
-                    # line on the host instead of raising.
-                    self.fault_log.record(
-                        machine.now, "recovery", self.device.name,
-                        "host-fallback",
-                        f"{statement.name} could not be dispatched: {exc}",
-                    )
-                    self._run_line_on_host(
-                        index, statement, instr_total, storage_total, d_in,
-                        input_remote=value_location == CSD, multiplier=multiplier,
-                    )
-                    migrated = True
-                    degraded = True
-                    self.obs.count("executor.host_fallbacks")
-                    value_location = HOST
-                    self._trace(line_start, HOST, "compute", statement.name)
-                    timings.append(
-                        LineTiming(
-                            index=index,
-                            name=statement.name,
-                            planned_location=planned,
-                            actual_location=HOST,
-                            seconds=machine.now - line_start,
-                        )
-                    )
-                    continue
-                monitor = RuntimeMonitor(
-                    config=machine.config,
-                    expected_ipc=self.device.cse.expected_ipc(),
-                )
-                line_migrated = False
-                line_faulted = False
-                replays_left = machine.config.chunk_replay_limit
-                chunk = 0
-                # Commit the line's entry checkpoint so a crash during
-                # the very first chunk still restores to *this* line.
-                self.checkpoints.save(index, 0, statement.live_vars, machine.now)
-                while chunk < chunks:
-                    fault: Optional[FaultError] = None
-                    try:
-                        self._run_chunk_on_csd(
-                            index, statement, chunk,
-                            instr_total, storage_total, chunks, multiplier,
-                        )
-                    except FaultError as exc:
-                        fault = exc
-                    machine.simulator.fire_due_events()
-                    if fault is None and self.device.cse.crashed:
-                        # The crash event fired inside this chunk's time
-                        # span: its partial work is lost.
-                        fault = CseCrashError(
-                            f"CSE {self.device.name!r} crashed mid-chunk"
-                        )
-                    if fault is not None:
-                        if self._try_chunk_replay(statement, chunk, fault, replays_left):
-                            replays_left -= 1
-                            self.chunk_replays += 1
-                            self.obs.count("executor.chunk_replays")
-                            # The IPC trend across the fault is noise,
-                            # not congestion; start the monitor fresh.
-                            monitor.reset()
-                            continue
-                        # Retries exhausted (or the device is beyond
-                        # saving): resume host-side at a Python-line
-                        # boundary.  The resume point comes from the
-                        # BAR checkpoint record, not from host-side
-                        # bookkeeping — the record survives the crash
-                        # (and, double-buffered, a torn write).
-                        resume = self.checkpoints.resume_chunk(
-                            index, chunks, fallback=chunk
-                        )
-                        self.fault_log.record(
-                            machine.now, "recovery", self.device.name,
-                            "host-fallback",
-                            f"{statement.name} resumes on the host at chunk {resume}",
-                        )
-                        self.dispatcher.abandon(command_id)
-                        self._finish_line_on_host(
-                            index,
-                            statement,
-                            instr_total,
-                            storage_total,
-                            d_in,
-                            chunks,
-                            first_chunk=resume,
-                            input_on_device=d_in > 0,
-                            multiplier=multiplier,
-                        )
-                        migrated = True
-                        line_migrated = True
-                        line_faulted = True
-                        degraded = True
-                        self.obs.count("executor.host_fallbacks")
-                        location = HOST
-                        break
-                    csd_instr_done += instr_total / chunks
-                    self._chunk_ledger[index] += 1
-                    chunk += 1
-                    self.checkpoints.save(
-                        index, chunk, statement.live_vars, machine.now
-                    )
-                    trigger_cursor = self._apply_progress_triggers(
-                        triggers, trigger_cursor, csd_instr_done, total_csd_instr
-                    )
-                    update = self._post_status(statement, chunk, chunks)
-                    decision = monitor.observe(update)
-                    if self.obs.enabled:
-                        # Drift of observed vs planner-predicted IPC per
-                        # status update, so migration triggers can be
-                        # audited against the estimate after the fact.
-                        self.obs.metrics.histogram(
-                            "monitor.ipc_drift", buckets=_DRIFT_BUCKETS
-                        ).observe(decision.ipc_drift)
-                    if not (self.migration_enabled and decision.reestimate):
-                        continue
-                    event = self._consider_migration(
-                        estimates=estimates,
-                        plan=plan,
-                        index=index,
-                        statement=statement,
-                        chunk=chunk,
-                        chunks=chunks,
-                        inferred_availability=decision.inferred_availability,
-                        reason=decision.reason,
-                        forced=update.high_priority_pending,
-                    )
-                    if event is None:
-                        continue
-                    migrations.append(event)
-                    self.obs.count("executor.migrations")
-                    # The drift that tipped this migration, for audits.
-                    self.obs.gauge("monitor.migration_trigger_drift",
-                                   decision.ipc_drift)
-                    last_migration_at = machine.now
-                    if update.high_priority_pending:
-                        self.device.cse.acknowledge_high_priority()
-                    # Finish this line's remaining chunks on the host,
-                    # reading the unconsumed input remotely.  The break
-                    # chunk is re-read from the checkpoint record the
-                    # device left in shared memory (paper §III-D).
-                    self._finish_line_on_host(
-                        index,
-                        statement,
-                        instr_total,
-                        storage_total,
-                        d_in,
-                        chunks,
-                        first_chunk=(
-                            event.resume_chunk if event.resume_chunk >= 0 else chunk
-                        ),
-                        input_on_device=d_in > 0,
-                        multiplier=multiplier,
-                    )
-                    migrated = True
-                    line_migrated = True
-                    location = HOST
-                    break
-                if not line_faulted:
-                    self.dispatcher.complete(command_id)
-                    try:
-                        self.dispatcher.reap_completion(command_id)
-                    except FaultError as exc:
-                        # The work ran but its final acknowledgement
-                        # never arrived and retries exhausted: the host
-                        # cannot trust it, so it replays the whole line
-                        # itself (lines are idempotent).
-                        self.fault_log.record(
-                            machine.now, "recovery", self.device.name,
-                            "line-replay-host",
-                            f"{statement.name} unacknowledged ({exc}); "
-                            "replayed on the host",
-                        )
-                        self.dispatcher.abandon(command_id)
-                        self._finish_line_on_host(
-                            index,
-                            statement,
-                            instr_total,
-                            storage_total,
-                            d_in,
-                            chunks,
-                            first_chunk=0,
-                            input_on_device=d_in > 0,
-                            multiplier=multiplier,
-                        )
-                        migrated = True
-                        line_migrated = True
-                        degraded = True
-                        self.obs.count("executor.host_fallbacks")
-                        location = HOST
-                value_location = HOST if line_migrated else CSD
-                self._trace(
-                    line_start, CSD if not line_migrated else f"{CSD}+host",
-                    "compute", statement.name,
-                )
-                timings.append(
-                    LineTiming(
-                        index=index,
-                        name=statement.name,
-                        planned_location=planned,
-                        actual_location=location,
-                        seconds=machine.now - line_start,
-                        migrated_mid_line=line_migrated,
-                    )
-                )
-            else:
-                self._run_line_on_host(
-                    index, statement, instr_total, storage_total, d_in,
-                    input_remote=input_remote, multiplier=multiplier,
-                )
-                value_location = HOST
-                self._trace(line_start, HOST, "compute", statement.name)
-                timings.append(
-                    LineTiming(
-                        index=index,
-                        name=statement.name,
-                        planned_location=planned,
-                        actual_location=HOST,
-                        seconds=machine.now - line_start,
-                    )
-                )
-
-        # The program's final value must reach the host.
-        last = program[len(program) - 1]
-        if value_location == CSD:
-            # BAR readback of the result: the last place a garbled
-            # transfer could still slip into the report.
-            transfer_start = machine.now
-            self._verified_move(
-                machine.d2h_link, last.output_bytes(n), multiplier,
-                key="final.output",
-            )
-            self._trace(transfer_start, "d2h", "transfer", "final.output")
+        for index in range(len(program)):
+            self.run_line(compiled, n, index, plan.assignments[index])
+        self.read_back(compiled, n)
 
         finished = machine.now
         if self.obs.enabled:
-            self.obs.metrics.counter("executor.lines").inc(len(timings))
+            self.obs.metrics.counter("executor.lines").inc(len(self.timings))
         return ExecutionResult(
             program_name=program.name,
             total_seconds=finished - started,
-            line_timings=timings,
-            migrations=migrations,
+            line_timings=self.timings,
+            migrations=self.migrations,
             started_at=started,
             finished_at=finished,
             d2h_bytes=machine.d2h_link.bytes_transferred - d2h_before,
@@ -509,7 +277,7 @@ class PlanExecutor:
             ),
             status_updates=self.dispatcher.status_updates,
             fault_events=list(self.fault_log.events),
-            degraded=degraded,
+            degraded=self.degraded,
             chunk_replays=self.chunk_replays,
             chunks_executed=dict(self._chunk_ledger),
             checkpoint_stats=self.checkpoints.stats(),
@@ -517,84 +285,262 @@ class PlanExecutor:
             integrity_stats=self.integrity.stats(),
         )
 
-    # --- speculative stepping (plan search) ----------------------------------
+    # --- one line ----------------------------------------------------------
 
-    def run_line_clean(
-        self,
-        compiled: CompiledProgram,
-        n_records: int,
-        index: int,
-        location: str,
-        value_location: str,
-    ) -> str:
-        """Execute one line of the *fault-free* path; return the new
-        location of the program's live value.
+    def run_line(
+        self, compiled: CompiledProgram, n: float, index: int, planned: str
+    ) -> None:
+        """Run line ``index``, planned for ``planned``, and record its timing.
 
-        This is the stepper :mod:`repro.runtime.plansearch` drives
-        against a forked simulator state: the same charging primitives
-        as :meth:`execute` (input shipping over the D2H link, dispatch
-        doorbells, per-chunk streaming + compute, checkpoint saves,
-        status messages), minus the fault/migration machinery that a
-        speculative dry-run has no business exercising.  Fidelity to
-        the real fault-free run is pinned by
-        ``tests/test_plansearch.py``: summing these steps over a full
-        assignment reproduces :meth:`execute`'s makespan.
+        After a migration or host fallback the line runs on the host
+        unless re-admission sends it back to the device.  The line's
+        input is shipped over the D2H link when it lives on the other
+        unit; ``value_location`` then follows the line's output.
         """
         machine = self.machine
         program = compiled.program
         statement = program[index]
-        n = float(n_records)
-        multiplier = compiled.multiplier
+        location = HOST if self.migrated else planned
+        if self.migrated and planned == CSD and self._readmissible(index):
+            # Re-admission (extension beyond the paper).
+            location = CSD
+            self.migrated = False
+        line_start = machine.now
+        line = _LineWork(
+            index=index,
+            statement=statement,
+            d_in=program.input_bytes(index, n),
+            storage_total=statement.storage_bytes(n),
+            instr_total=statement.instructions(n) * compiled.multiplier,
+            chunks=statement.chunks,
+            multiplier=compiled.multiplier,
+        )
         self._chunk_ledger.setdefault(index, 0)
 
-        d_in = program.input_bytes(index, n)
-        storage_total = statement.storage_bytes(n)
-        instr_total = statement.instructions(n) * multiplier
-        chunks = statement.chunks
+        if location != self.value_location and line.d_in > 0:
+            self._ship(line.d_in, line.multiplier, key=f"input.line{index}",
+                       label=f"{statement.name}.input")
 
-        if location != value_location and d_in > 0:
-            self._verified_move(
-                machine.d2h_link, d_in, multiplier, key=f"input.line{index}",
+        if location == CSD:
+            resource = self._run_csd_line(compiled, line)
+        else:
+            self._host_chunks(line, 0, remote_input=False)
+            resource = HOST
+        self.value_location = CSD if resource == CSD else HOST
+        self.obs.record_span(
+            statement.name, "compute", resource, line_start, machine.now
+        )
+        self.timings.append(
+            LineTiming(
+                index=index,
+                name=statement.name,
+                planned_location=planned,
+                actual_location=self.value_location,
+                seconds=machine.now - line_start,
+                migrated_mid_line=resource == _MIXED,
             )
-        if location != CSD:
-            self._run_line_on_host(
-                index, statement, instr_total, storage_total, d_in,
-                input_remote=False, multiplier=multiplier,
+        )
+
+    def read_back(self, compiled: CompiledProgram, n: float) -> None:
+        """Bring the program's final value to the host if it is on the CSD.
+
+        The BAR readback of the result is the last place a garbled
+        transfer could still slip into the report.
+        """
+        if self.value_location != CSD:
+            return
+        program = compiled.program
+        self._ship(
+            program[len(program) - 1].output_bytes(n), compiled.multiplier,
+            key="final.output", label="final.output",
+        )
+
+    def _run_csd_line(self, compiled: CompiledProgram, line: _LineWork) -> str:
+        """Dispatch a line to the device and run its chunks there.
+
+        Returns the line's trace resource: :data:`CSD` when it finished
+        on the device, :data:`_MIXED` when it migrated or fell back
+        mid-line, and :data:`HOST` when the device refused the call.
+        """
+        machine = self.machine
+        name = line.statement.name
+        try:
+            command_id = self.dispatcher.invoke(
+                name, compiled.device_binaries.get(name)
+            )
+        except FaultError as exc:
+            # The device would not even accept the call (stalled queue
+            # pair beyond the deadline): run the whole line on the host.
+            self._fall_back_to_host(
+                line, "host-fallback", f"{name} could not be dispatched: {exc}",
+                first_chunk=0, remote_input=self.value_location == CSD,
             )
             return HOST
-
-        command_id = self.dispatcher.invoke(
-            statement.name, compiled.device_binaries.get(statement.name),
-        )
-        self.checkpoints.save(index, 0, statement.live_vars, machine.now)
-        for chunk in range(chunks):
-            self._run_chunk_on_csd(
-                index, statement, chunk,
-                instr_total, storage_total, chunks, multiplier,
+        # The monitor's only readers are migration and the drift
+        # histogram; without either, status updates go unread.
+        monitor = None
+        if self.migration_enabled or self.obs.enabled:
+            monitor = RuntimeMonitor(
+                config=machine.config,
+                expected_ipc=self.device.cse.expected_ipc(),
             )
+        resource = CSD
+        replays_left = machine.config.chunk_replay_limit
+        index, chunks = line.index, line.chunks
+        live_vars = line.statement.live_vars
+        chunk_instr = line.instr_total / chunks
+        cse = self.device.cse
+        chunk = 0
+        # Commit the line's entry checkpoint so a crash during the very
+        # first chunk still restores to *this* line.
+        self.checkpoints.save(index, 0, live_vars, machine.now)
+        while chunk < chunks:
+            fault: Optional[FaultError] = None
+            try:
+                self._run_chunk_on_csd(line, chunk)
+            except FaultError as exc:
+                fault = exc
             machine.simulator.fire_due_events()
+            if fault is None and cse.crashed:
+                # The crash event fired inside this chunk's time span:
+                # its partial work is lost.
+                fault = CseCrashError(
+                    f"CSE {self.device.name!r} crashed mid-chunk"
+                )
+            if fault is not None:
+                if self._try_chunk_replay(line.statement, chunk, fault, replays_left):
+                    replays_left -= 1
+                    self.chunk_replays += 1
+                    self.obs.count("executor.chunk_replays")
+                    # The IPC trend across the fault is noise, not
+                    # congestion; start the monitor fresh.
+                    if monitor is not None:
+                        monitor.reset()
+                    continue
+                # Retries exhausted (or the device is beyond saving):
+                # resume host-side at a Python-line boundary.  The
+                # resume point comes from the BAR checkpoint record,
+                # not from host-side bookkeeping — the record survives
+                # the crash (and, double-buffered, a torn write).
+                resume = self.checkpoints.resume_chunk(
+                    index, chunks, fallback=chunk
+                )
+                self._fall_back_to_host(
+                    line, "host-fallback",
+                    f"{name} resumes on the host at chunk {resume}",
+                    first_chunk=resume, remote_input=line.d_in > 0,
+                    command_id=command_id,
+                )
+                return _MIXED
+            self.csd_instr_done += chunk_instr
             self._chunk_ledger[index] += 1
-            self.checkpoints.save(
-                index, chunk + 1, statement.live_vars, machine.now
-            )
-            self._post_status(statement, chunk + 1, chunks)
-        self.dispatcher.complete(command_id)
-        self.dispatcher.reap_completion(command_id)
-        return CSD
+            chunk += 1
+            self.checkpoints.save(index, chunk, live_vars, machine.now)
+            if self._triggers:
+                self._apply_progress_triggers()
+            update = self._post_status(line.statement, chunk, chunks)
+            if monitor is not None and self._monitor(
+                compiled, line, chunk, monitor, update
+            ):
+                resource = _MIXED
+                break
+        return resource if self._complete(line, command_id) else _MIXED
 
-    def finish_clean(
-        self, compiled: CompiledProgram, n_records: int, value_location: str
-    ) -> None:
-        """The fault-free epilogue: read the final value back if needed."""
-        program = compiled.program
-        if value_location == CSD and len(program) > 0:
-            last = program[len(program) - 1]
-            self._verified_move(
-                self.machine.d2h_link,
-                last.output_bytes(float(n_records)),
-                compiled.multiplier,
-                key="final.output",
+    def _complete(self, line: _LineWork, command_id: int) -> bool:
+        """Post and reap a device line's final completion; False if the
+        host had to replay the line."""
+        self.dispatcher.complete(command_id)
+        try:
+            self.dispatcher.reap_completion(command_id)
+        except FaultError as exc:
+            # The work ran but its final acknowledgement never arrived
+            # and retries exhausted: the host cannot trust it, so it
+            # replays the whole line itself (lines are idempotent).
+            self._fall_back_to_host(
+                line, "line-replay-host",
+                f"{line.statement.name} unacknowledged ({exc}); "
+                "replayed on the host",
+                first_chunk=0, remote_input=line.d_in > 0,
+                command_id=command_id,
             )
+            return False
+        return True
+
+    def _monitor(
+        self,
+        compiled: CompiledProgram,
+        line: _LineWork,
+        chunk: int,
+        monitor: RuntimeMonitor,
+        update: StatusUpdate,
+    ) -> bool:
+        """Feed one status update to the monitor; migrate if it pays.
+
+        Returns True when the line's remaining chunks moved to the host.
+        """
+        decision = monitor.observe(update)
+        if self.obs.enabled:
+            # Drift of observed vs planner-predicted IPC per status
+            # update, so migration triggers can be audited against the
+            # estimate after the fact.
+            self.obs.metrics.histogram(
+                "monitor.ipc_drift", buckets=_DRIFT_BUCKETS
+            ).observe(decision.ipc_drift)
+        if not (self.migration_enabled and decision.reestimate):
+            return False
+        event = self._consider_migration(
+            plan=compiled.plan,
+            line=line,
+            chunk=chunk,
+            monitor=monitor,
+            decision=decision,
+            forced=update.high_priority_pending,
+        )
+        if event is None:
+            return False
+        self.migrations.append(event)
+        self.obs.count("executor.migrations")
+        # The drift that tipped this migration, for audits.
+        self.obs.gauge("monitor.migration_trigger_drift", decision.ipc_drift)
+        self.last_migration_at = self.machine.now
+        if update.high_priority_pending:
+            self.device.cse.acknowledge_high_priority()
+        # Finish this line's remaining chunks on the host, reading the
+        # unconsumed input remotely.  The break chunk is re-read from
+        # the checkpoint record the device left in shared memory (paper
+        # §III-D).
+        self._host_chunks(
+            line,
+            event.resume_chunk if event.resume_chunk >= 0 else chunk,
+            remote_input=line.d_in > 0,
+        )
+        self.migrated = True
+        return True
+
+    def _fall_back_to_host(
+        self,
+        line: _LineWork,
+        action: str,
+        detail: str,
+        first_chunk: int,
+        remote_input: bool,
+        command_id: Optional[int] = None,
+    ) -> None:
+        """Finish a device line on the host after a fault.
+
+        The three triggers are a dispatch the device refused, chunk
+        replays exhausted mid-line, and a final completion that never
+        arrived; each logs its own recovery ``action``.
+        """
+        self.fault_log.record(
+            self.machine.now, "recovery", self.device.name, action, detail
+        )
+        if command_id is not None:
+            self.dispatcher.abandon(command_id)
+        self._host_chunks(line, first_chunk, remote_input)
+        self.migrated = True
+        self.degraded = True
+        self.obs.count("executor.host_fallbacks")
 
     # --- chunk mechanics ----------------------------------------------------
 
@@ -612,18 +558,21 @@ class PlanExecutor:
                 elapsed * (multiplier - 1.0), component=link.component
             )
 
-    def _verified_move(self, link, nbytes: float, multiplier: float, key: str) -> None:
-        """A value transfer followed by the consumer-side digest check.
+    def _ship(self, nbytes: float, multiplier: float, key: str, label: str) -> None:
+        """Move a value over the D2H link, then check its digest.
 
         Used for the standalone payload moves (shipping a line's input,
         the final BAR readback of the result) where recovery is an
         inline retransmit rather than a chunk replay.
         """
+        link = self.machine.d2h_link
+        start = self.machine.now
         self._move(link, nbytes, multiplier)
         self._ingest(
             [(link, nbytes)], multiplier,
             tainted=False, key=key, target=link.name, raise_on_detect=False,
         )
+        self.obs.record_span(label, "transfer", "d2h", start, self.machine.now)
 
     def _ingest(
         self,
@@ -738,18 +687,9 @@ class PlanExecutor:
                 self.machine.now - chunk_started
             )
 
-    def _run_chunk_on_csd(
-        self,
-        line_index: int,
-        statement: Statement,
-        chunk: int,
-        instr_total: float,
-        storage_total: float,
-        chunks: int,
-        multiplier: float,
-    ) -> None:
+    def _run_chunk_on_csd(self, line: _LineWork, chunk: int) -> None:
         tainted = False
-        if storage_total > 0:
+        if line.storage_total > 0:
             # The chunk's streamed NAND access may hit an armed media
             # fault: ECC re-reads cost time here, an uncorrectable
             # error aborts the chunk before any work is charged.
@@ -758,7 +698,7 @@ class PlanExecutor:
                 self.fault_log.record(
                     self.machine.now, "nand-read-correctable", self.device.name,
                     "ecc-corrected",
-                    f"{statement.name}: {extra:.6f}s of ECC re-reads",
+                    f"{line.statement.name}: {extra:.6f}s of ECC re-reads",
                 )
             # A silently corrupted stream costs nothing and raises
             # nothing here: the flipped bits ride into the chunk and
@@ -766,60 +706,36 @@ class PlanExecutor:
             tainted = self.device.flash.consume_silent_corruption()
         self._chunk(
             self.device.cse,
-            [(self.device.internal_link, storage_total / chunks)],
-            instr_total / chunks,
-            multiplier,
-            key=f"line{line_index}.chunk{chunk}",
+            [(self.device.internal_link, line.storage_total / line.chunks)],
+            line.instr_total / line.chunks,
+            line.multiplier,
+            key=f"line{line.index}.chunk{chunk}",
             tainted=tainted,
             raise_on_detect=True,
         )
 
-    def _run_line_on_host(
-        self,
-        line_index: int,
-        statement: Statement,
-        instr_total: float,
-        storage_total: float,
-        d_in: float,
-        input_remote: bool,
-        multiplier: float,
+    def _host_chunks(
+        self, line: _LineWork, first_chunk: int, remote_input: bool
     ) -> None:
-        machine = self.machine
-        chunks = statement.chunks
-        for chunk in range(chunks):
-            moves = [(machine.host_storage_link, storage_total / chunks)]
-            if input_remote:
-                moves.append((machine.remote_access_link, d_in / chunks))
-            self._chunk(
-                machine.host, moves, instr_total / chunks, multiplier,
-                key=f"line{line_index}.chunk{chunk}",
-            )
-            self._chunk_ledger[line_index] += 1
-            machine.simulator.fire_due_events()
+        """Run chunks ``first_chunk..chunks`` of a line on the host.
 
-    def _finish_line_on_host(
-        self,
-        line_index: int,
-        statement: Statement,
-        instr_total: float,
-        storage_total: float,
-        d_in: float,
-        chunks: int,
-        first_chunk: int,
-        input_on_device: bool,
-        multiplier: float,
-    ) -> None:
-        """Run chunks ``first_chunk..chunks`` on the host post-migration."""
+        ``remote_input`` reads the line's device-resident input over
+        the BAR path instead of expecting it in host memory.
+        """
         machine = self.machine
+        index, chunks, multiplier = line.index, line.chunks, line.multiplier
+        chunk_storage = line.storage_total / chunks
+        chunk_input = line.d_in / chunks
+        chunk_instr = line.instr_total / chunks
         for chunk in range(first_chunk, chunks):
-            moves = [(machine.host_storage_link, storage_total / chunks)]
-            if input_on_device:
-                moves.append((machine.remote_access_link, d_in / chunks))
+            moves = [(machine.host_storage_link, chunk_storage)]
+            if remote_input:
+                moves.append((machine.remote_access_link, chunk_input))
             self._chunk(
-                machine.host, moves, instr_total / chunks, multiplier,
-                key=f"line{line_index}.chunk{chunk}",
+                machine.host, moves, chunk_instr, multiplier,
+                key=f"line{index}.chunk{chunk}",
             )
-            self._chunk_ledger[line_index] += 1
+            self._chunk_ledger[index] += 1
             machine.simulator.fire_due_events()
 
     def _try_chunk_replay(
@@ -873,31 +789,31 @@ class PlanExecutor:
         )
         return True
 
-    def _device_recovered(self) -> bool:
-        """Poll the device's self-reported rate for re-admission.
+    def _readmissible(self, index: int) -> bool:
+        """Whether a migrated run may send line ``index`` back to its
+        planned home on the CSD (an extension beyond the paper).
 
-        Same observability channel as the status updates: the host
-        reads the execution rate the device publishes, never the
-        simulator's availability knob directly.
+        The cooldown since the last migration must have passed, the
+        device must report a healthy rate again (the host reads the
+        rate the device publishes, the same channel as the status
+        updates, never the simulator's availability knob), and the
+        line's Equation-1 delta must still favour the device.  The
+        line's input now lives on the host, so the move pays both
+        transfers.
         """
         config = self.machine.config
-        if not config.readmission_enabled:
+        if not config.readmission_enabled or not self.device.healthy:
             return False
-        if not self.device.healthy:
+        if self.machine.now - self.last_migration_at < config.readmission_cooldown_s:
             return False
         cse = self.device.cse
         reported_rate = cse.expected_ipc() * cse.availability
-        return reported_rate >= config.readmission_threshold * cse.expected_ipc()
-
-    def _readmission_profitable(self, estimate: Optional[LineEstimate]) -> bool:
-        """Equation-1 check for returning one line to the device.
-
-        The line's input now lives on the host (the previous line ran
-        there post-migration), so the move pays both transfers.
-        """
+        if reported_rate < config.readmission_threshold * cse.expected_ipc():
+            return False
+        estimate = self.estimates.get(index)
         if estimate is None:
             return False
-        bw = self.machine.config.bw_d2h
+        bw = config.bw_d2h
         delta = (
             -estimate.ct_host + estimate.ct_device
             + estimate.d_in / bw + estimate.d_out / bw
@@ -929,19 +845,18 @@ class PlanExecutor:
 
     def _consider_migration(
         self,
-        estimates: Dict[int, LineEstimate],
         plan,
-        index: int,
-        statement: Statement,
+        line: _LineWork,
         chunk: int,
-        chunks: int,
-        inferred_availability: float,
-        reason: str,
+        monitor: RuntimeMonitor,
+        decision: MonitorDecision,
         forced: bool,
     ) -> Optional[MigrationEvent]:
         """Re-estimate and migrate if the host now wins (paper §III-D)."""
         machine = self.machine
         config = machine.config
+        estimates = self.estimates
+        index, chunks = line.index, line.chunks
         est = estimates.get(index)
         if est is None:
             return None
@@ -958,8 +873,9 @@ class PlanExecutor:
         for later in later_csd:
             device_compute += later.compute_host * c_factor
             device_access += later.d_storage / config.bw_internal
-        availability = max(1e-3, min(1.0, inferred_availability))
-        device_projection = device_compute / availability + device_access
+        device_projection = monitor.reestimate_remaining_seconds(
+            device_compute, device_access, decision.inferred_availability
+        )
         # The region's final output still crosses back to the host.
         tail = later_csd[-1] if later_csd else est
         device_projection += tail.d_out / config.bw_d2h
@@ -990,41 +906,25 @@ class PlanExecutor:
         event = perform_migration(
             machine=machine,
             line_index=index,
-            line_name=statement.name,
+            line_name=line.statement.name,
             chunk=chunk,
-            reason=reason if not forced else f"high-priority request; {reason}",
+            reason=(
+                decision.reason if not forced
+                else f"high-priority request; {decision.reason}"
+            ),
             projected_device_seconds=device_projection,
             projected_host_seconds=host_projection,
             resume_chunk=resume,
         )
-        self._trace(
-            event.sim_time - event.cost_seconds, HOST, "migration",
-            f"migrate.{statement.name}",
+        self.obs.record_span(
+            f"migrate.{line.statement.name}", "migration", HOST,
+            event.sim_time - event.cost_seconds, machine.now,
         )
         return event
 
     # --- helpers -----------------------------------------------------------
 
-    @staticmethod
-    def _estimates_by_index(estimates: Sequence[LineEstimate]) -> Dict[int, LineEstimate]:
-        return {e.index: e for e in estimates}
-
-    @staticmethod
-    def _total_csd_instructions(program: Program, plan, n: float) -> float:
-        return sum(
-            statement.instructions(n)
-            for statement, where in zip(program, plan.assignments)
-            if where == CSD
-        ) or 1.0
-
-    def _apply_progress_triggers(
-        self,
-        triggers: Sequence[ProgressTrigger],
-        cursor: int,
-        done_instr: float,
-        total_instr: float,
-    ) -> int:
-        while cursor < len(triggers) and done_instr / total_instr >= triggers[cursor][0]:
-            self.device.cse.set_availability(triggers[cursor][1])
-            cursor += 1
-        return cursor
+    def _apply_progress_triggers(self) -> None:
+        triggers = self._triggers
+        while triggers and self.csd_instr_done / self._total_csd_instr >= triggers[0][0]:
+            self.device.cse.set_availability(triggers.pop(0)[1])

@@ -131,14 +131,3 @@ class RuntimeMonitor:
     @property
     def last_ipc(self) -> Optional[float]:
         return self._history[-1] if self._history else None
-
-    @property
-    def mean_drift(self) -> float:
-        """Mean IPC drift over the observations since the last reset."""
-        if not self._history or self.expected_ipc <= 0:
-            return 0.0
-        drifts = [
-            max(0.0, 1.0 - min(1.0, ipc / self.expected_ipc))
-            for ipc in self._history
-        ]
-        return sum(drifts) / len(drifts)

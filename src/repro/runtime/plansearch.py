@@ -16,8 +16,8 @@ Instead of *modelling* a candidate assignment, this module
 is a priority-queue branch-and-bound over partial host/CSD assignments:
 
 * every node extension is simulated exactly once on a fork of the
-  speculative machine (the fault-free stepper
-  :meth:`~repro.runtime.executor.PlanExecutor.run_line_clean`), never
+  speculative machine, through the executor's own per-line path
+  (:meth:`~repro.runtime.executor.PlanExecutor.run_line`), never
   re-run — the (line, location, input-crossing) step space is shared
   by all branches, which is the transposition table's currency;
 * nodes are ordered by ``elapsed + lower_bound(remaining)`` where the
@@ -78,6 +78,10 @@ _StepKey = Tuple[int, str, str]
 #: Sentinel index for the final device→host readback steps.
 _FINAL = -1
 
+#: Hard cap on expanded nodes (a 2^k tree for k lines never gets near
+#: this; the cap bounds adversarial inputs).
+_NODE_CAP = 65536
+
 
 @dataclass(frozen=True)
 class SearchOptions:
@@ -91,9 +95,6 @@ class SearchOptions:
     #: search itself is sequential arithmetic over the (deterministic)
     #: step costs, so any worker count returns bit-identical results.
     workers: int = 1
-    #: Hard cap on expanded nodes (a 2^k tree for k lines never gets
-    #: near this; the cap bounds adversarial inputs).
-    max_nodes: int = 65536
 
     def digest_token(self) -> str:
         """A canonical token for cache keys (wall-clock knobs excluded)."""
@@ -274,15 +275,15 @@ class _SpeculativeMachine:
     line's device binary installed, and a base snapshot taken after
     setup.  Each speculative step restores the base snapshot (cheap:
     setup leaves no pending events), executes exactly one line through
-    the real executor's fault-free stepper, and reads the elapsed
-    simulated time off the clock.
+    the executor's own per-line path with migration off, and reads the
+    elapsed simulated time off the clock.
     """
 
     def __init__(
         self, program: Program, dataset: Dataset, config: SystemConfig
     ) -> None:
         self.config = config
-        self.n_records = dataset.n_records
+        self.n = float(dataset.n_records)
         self.machine: Machine = build_machine(
             config, obs=Observability.disabled()
         )
@@ -306,13 +307,12 @@ class _SpeculativeMachine:
         simulator = self.machine.simulator
         simulator.restore(self.base)
         executor = PlanExecutor(self.machine, migration_enabled=False)
+        executor.value_location = value_location
         started = simulator.now
         if index == _FINAL:
-            executor.finish_clean(self.compiled, self.n_records, value_location)
+            executor.read_back(self.compiled, self.n)
         else:
-            executor.run_line_clean(
-                self.compiled, self.n_records, index, location, value_location,
-            )
+            executor.run_line(self.compiled, self.n, index, location)
         return simulator.now - started
 
 
@@ -502,7 +502,7 @@ def search_plan(
     expanded_at_depth = [0] * (k + 1)
     best_at_state: Dict[Tuple[int, str], float] = {}
 
-    while frontier and metrics.nodes_expanded < opts.max_nodes:
+    while frontier and metrics.nodes_expanded < _NODE_CAP:
         bound, _, assignments, elapsed, value_location = heapq.heappop(frontier)
         depth = len(assignments)
         if bound >= incumbent_makespan:

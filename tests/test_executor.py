@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import MigrationError, ProgramError
+from repro.errors import ConfigError, MigrationError, ProgramError
 from repro.hw.topology import build_machine
 from repro.runtime.activepy import run_plan
 from repro.runtime.codegen import CodeGenerator, ExecutionMode
@@ -161,6 +161,16 @@ class TestValidation:
         compiled = compiled_for(machine, [HOST, HOST, HOST], config)
         with pytest.raises(ProgramError):
             PlanExecutor(machine, migration_enabled=False).execute(compiled, 0)
+
+    def test_bad_progress_trigger_rejected_before_any_line(self, config, machine):
+        compiled = compiled_for(machine, [CSD, CSD, HOST], config)
+        executor = PlanExecutor(machine, migration_enabled=False)
+        before = machine.now
+        with pytest.raises(ConfigError):
+            executor.execute(compiled, N, progress_triggers=((0.5, 0.0),))
+        assert machine.now == before
+        assert executor.dispatcher.status_updates == 0
+        assert machine.csd.cse.availability == 1.0
 
     def test_run_plan_helper(self, config, machine):
         program = make_toy_program()

@@ -4,6 +4,8 @@ import dataclasses
 
 import pytest
 
+from repro.cli import main
+from repro.errors import ConfigError
 from repro.runtime.activepy import ActivePy, RunOptions
 from repro.workloads import get_workload
 
@@ -34,3 +36,25 @@ class TestRunOptions:
         for legacy in ({"trace": True}, {"progress_triggers": [(0.5, 0.5)]}):
             with pytest.raises(TypeError):
                 ActivePy().run(workload.program, workload.dataset, **legacy)
+
+
+class TestProgressTriggerValidation:
+    @pytest.mark.parametrize("trigger", [
+        (float("nan"), 0.5),  # never fires
+        (1.5, 0.5),  # offloaded progress never passes 1
+        (0.5, 0.0),  # the CSE refuses a zero availability
+    ])
+    def test_rejected_where_they_enter(self, trigger):
+        with pytest.raises(ConfigError):
+            RunOptions(progress_triggers=(trigger,))
+
+    def test_boundaries_accepted(self):
+        RunOptions(progress_triggers=((0.0, 1.0), (1.0, 1e-3)))
+
+    @pytest.mark.parametrize("stress", ["0", "1.5", "nan"])
+    def test_cli_stress_outside_unit_interval_exits_2(self, stress, capsys):
+        assert main(["run", "tpch_q6", "--scale", "0.01",
+                     "--stress", stress]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("repro run: error: ")
