@@ -1,6 +1,6 @@
 """Observability: free when disabled, cheap when enabled.
 
-Four claims:
+Five claims:
 
 * **Disabled overhead is exactly zero.**  No metric or span ever
   advances the simulated clock, so a run on a default (obs-disabled)
@@ -17,12 +17,19 @@ Four claims:
   run with the time-series recorder attached reports a bit-identical
   makespan and per-job signatures versus a recorder-less run
   (simulated overhead exactly 0.0, gated), and costs <5% wall clock.
+* **The flight recorder's cost does not grow with the run.**  At 5000
+  jobs with a device loss, where every ring fills and evicts, the
+  recorder adds less than ``_FULL_RING_MAX_EXTRA`` times the
+  recorder-off wall.  Each completion's sliding window scans only the
+  points in its horizon, not the whole ring.
 """
 
 import math
+import statistics
 import time
 
 from repro.config import DEFAULT_CONFIG
+from repro.faults.spec import FaultKind, FaultPlan, FaultSpec
 from repro.fleet import Fleet, FleetConfig, ProfileStore
 from repro.obs import Observability, build_critical_path
 from repro.runtime.activepy import ActivePy, RunOptions
@@ -36,6 +43,24 @@ _REPS = 3
 
 _FLEET_SCALE = 2 ** -6
 _FLEET_JOBS = 24
+#: Back-to-back off/on pairs for the 24-job (~40 ms) comparison.  On a
+#: shared 2-core host single runs swing by 10-25% either way, so the
+#: fastest run per arm swung the overhead from -22% to +27%; the median
+#: of 60 per-pair ratios stayed within 0-3%.
+_FLEET_PAIRS = 60
+
+#: The full-ring arm: perfbench's fleet_serve size and device loss.
+_FULL_RING_JOBS = 5000
+_FULL_RING_LOSS = FaultSpec(
+    kind=FaultKind.DEVICE_LOST_MID_JOB, target="csd1",
+    at_time=60.0, duration_s=120.0,
+)
+_FULL_RING_PAIRS = 5
+#: Bound on (recorder-on wall / recorder-off wall - 1) at 5000 jobs.
+#: Measured on a shared 2-core Xeon: 0.62-1.06 over seven runs of this
+#: arm, against 3.68-3.78 when every completion rescanned its whole
+#: ring.  2.0 leaves headroom for a noisy host.
+_FULL_RING_MAX_EXTRA = 2.0
 
 
 def _run(name, obs=None):
@@ -168,6 +193,29 @@ def _run_fleet(obs=None):
     return Fleet(config, profiles=store, obs=obs).run()
 
 
+def _paired_overhead(run_off, run_on, pairs):
+    """Wall overhead of ``run_on`` over ``run_off``, from back-to-back pairs.
+
+    Each pair times both arms one after the other, alternating which
+    goes first, so both see the same host load.  The overhead is the
+    median per-pair ratio minus one; a load burst moves a few pairs,
+    not the median.  Also returns each arm's fastest wall, for the log.
+    """
+    ratios = []
+    best_off = best_on = float("inf")
+    for rep in range(pairs):
+        walls = {}
+        arms = ((False, run_off), (True, run_on))
+        for is_on, run in (arms if rep % 2 == 0 else arms[::-1]):
+            started = time.perf_counter()
+            run()
+            walls[is_on] = time.perf_counter() - started
+        ratios.append(walls[True] / walls[False])
+        best_off = min(best_off, walls[False])
+        best_on = min(best_on, walls[True])
+    return best_off, best_on, statistics.median(ratios) - 1.0
+
+
 def test_timeseries_overhead(benchmark):
     """Flight recorder: zero simulated cost, <5% wall on a 4-CSD fleet."""
     _run_fleet()  # prewarm the on-disk profile cache for both arms
@@ -183,15 +231,11 @@ def test_timeseries_overhead(benchmark):
     )
     sim_overhead = recorded.makespan_s - plain.makespan_s
 
-    disabled_wall = enabled_wall = float("inf")
-    for _ in range(_REPS):
-        started = time.perf_counter()
-        _run_fleet()
-        disabled_wall = min(disabled_wall, time.perf_counter() - started)
-        started = time.perf_counter()
-        _run_fleet(obs=Observability.with_timeseries())
-        enabled_wall = min(enabled_wall, time.perf_counter() - started)
-    wall_overhead = enabled_wall / disabled_wall - 1.0
+    disabled_wall, enabled_wall, wall_overhead = _paired_overhead(
+        _run_fleet,
+        lambda: _run_fleet(obs=Observability.with_timeseries()),
+        _FLEET_PAIRS,
+    )
 
     run_once(benchmark, lambda: _run_fleet(
         obs=Observability.with_timeseries()
@@ -214,6 +258,7 @@ def test_timeseries_overhead(benchmark):
             # Exactly 0.0 by construction; asserted above.
             "recorder_sim_overhead_seconds": sim_overhead,
             "enabled_wall_overhead_fraction": wall_overhead,
+            "wall_pairs": _FLEET_PAIRS,
             "series_count": series_count,
             "alerts_fired": len(recorded.alerts),
         },
@@ -221,3 +266,55 @@ def test_timeseries_overhead(benchmark):
 
     assert sim_overhead == 0.0
     assert wall_overhead < 0.05
+
+
+def _run_full_ring(obs=None):
+    config = FleetConfig(
+        job_count=_FULL_RING_JOBS, seed=0,
+        plan=FaultPlan(specs=(_FULL_RING_LOSS,), seed=0),
+    )
+    return Fleet(config, obs=obs).run()
+
+
+def test_timeseries_full_ring_overhead(benchmark):
+    """Flight recorder at 5000 jobs: rings full, overhead still bounded."""
+    plain = _run_full_ring()  # also prewarms the on-disk profile cache
+    recorded = _run_full_ring(obs=Observability.with_timeseries(window_s=0.25))
+    assert (
+        [o.to_jsonable() for o in recorded.outcomes]
+        == [o.to_jsonable() for o in plain.outcomes]
+    )
+    depth_points = len(recorded.timeline["series"]["fleet.queue_depth"]["points"])
+    # The arm is only meaningful if the rings filled and evicted.
+    assert depth_points == recorded.timeline["capacity"]
+
+    disabled_wall, enabled_wall, wall_overhead = _paired_overhead(
+        _run_full_ring,
+        lambda: _run_full_ring(obs=Observability.with_timeseries(window_s=0.25)),
+        _FULL_RING_PAIRS,
+    )
+
+    run_once(benchmark, lambda: _run_full_ring(
+        obs=Observability.with_timeseries(window_s=0.25)
+    ))
+
+    print(f"\n\nflight-recorder overhead with full rings "
+          f"({_FULL_RING_JOBS} jobs, csd1 lost at 60 s for 120 s)")
+    print(f"wall {disabled_wall:.3f} s -> {enabled_wall:.3f} s "
+          f"({wall_overhead * 100:+.1f}%, bound "
+          f"{_FULL_RING_MAX_EXTRA * 100:+.0f}%)")
+
+    write_bench_json("obs", {
+        "timeseries_full_ring": {
+            "job_count": _FULL_RING_JOBS,
+            "queue_depth_points": depth_points,
+            "alerts_fired": len(recorded.alerts),
+            "disabled_wall_seconds": disabled_wall,
+            "enabled_wall_seconds": enabled_wall,
+            "enabled_wall_overhead_fraction": wall_overhead,
+            "wall_pairs": _FULL_RING_PAIRS,
+            "max_overhead_fraction": _FULL_RING_MAX_EXTRA,
+        },
+    }, meta={"workloads": list(_ROTATION), "reps": _REPS})
+
+    assert wall_overhead < _FULL_RING_MAX_EXTRA

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -55,7 +56,7 @@ from .admission import (
     QueuedJob,
 )
 from .profiles import JobProfile, ProfileStore
-from .slo import SloSnapshot
+from .slo import SloSnapshot, sorted_percentile
 from .traffic import JobArrival, TenantSpec, TrafficGenerator, default_tenants
 
 __all__ = [
@@ -549,16 +550,18 @@ class Fleet:
                     tenant = outcome.tenant
                     rec.count("fleet.rate.finished", now)
                     rec.observe(f"fleet.e2e.{tenant}", now, outcome.end_to_end_s)
+                    # One sorted horizon feeds p50, p99 and the burn
+                    # count; it holds at least the sample just observed.
+                    window = sorted(rec.window_values(f"fleet.e2e.{tenant}", now))
                     rec.gauge(
                         f"fleet.slo_window.{tenant}.e2e_p50_s", now,
-                        rec.window_percentile(f"fleet.e2e.{tenant}", 50.0, now),
+                        sorted_percentile(window, 50.0),
                     )
                     rec.gauge(
                         f"fleet.slo_window.{tenant}.e2e_p99_s", now,
-                        rec.window_percentile(f"fleet.e2e.{tenant}", 99.0, now),
+                        sorted_percentile(window, 99.0),
                     )
-                    window = rec.window_values(f"fleet.e2e.{tenant}", now)
-                    over = sum(1 for v in window if v > targets[tenant])
+                    over = len(window) - bisect_right(window, targets[tenant])
                     rec.gauge(
                         f"fleet.burn.{tenant}", now,
                         (over / len(window)) / SLO_ERROR_BUDGET,

@@ -17,7 +17,7 @@ from typing import Any, Dict, Sequence, Tuple
 
 from ..errors import FleetError
 
-__all__ = ["SloSnapshot", "percentile"]
+__all__ = ["SloSnapshot", "percentile", "sorted_percentile"]
 
 
 def percentile(samples: Sequence[float], q: float) -> float:
@@ -27,11 +27,19 @@ def percentile(samples: Sequence[float], q: float) -> float:
     ``numpy.percentile(samples, q)`` with the default method, down to
     the arithmetic order, so the two agree bit-for-bit.
     """
-    if not samples:
+    return sorted_percentile(sorted(float(sample) for sample in samples), q)
+
+
+def sorted_percentile(ordered: Sequence[float], q: float) -> float:
+    """:func:`percentile` of samples already sorted ascending.
+
+    Callers that take several percentiles of one sample set sort it
+    once and pass the sorted list here.
+    """
+    if not ordered:
         raise FleetError("percentile of an empty sample set is undefined")
     if not 0 <= q <= 100:
         raise FleetError(f"percentile q must lie in [0, 100], got {q}")
-    ordered = sorted(float(sample) for sample in samples)
     rank = (len(ordered) - 1) * (q / 100.0)
     lower = math.floor(rank)
     upper = math.ceil(rank)

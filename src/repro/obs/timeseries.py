@@ -35,6 +35,7 @@ sustained breach is one alert, not one per point.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -96,6 +97,8 @@ class TimeSeries:
     long the run.  Points are appended in non-decreasing ``t`` order —
     simulated time never runs backwards — and a gauge re-recorded at the
     same ``t`` overwrites the point instead of duplicating the instant.
+    A non-finite ``t`` is rejected: a NaN compares false both ways and
+    would silently switch the ordering check off.
     """
 
     __slots__ = ("name", "kind", "points")
@@ -110,6 +113,10 @@ class TimeSeries:
         self.points: Deque[Tuple[float, float]] = deque(maxlen=capacity)
 
     def append(self, t: float, value: float) -> None:
+        if not math.isfinite(t):
+            raise ObservabilityError(
+                f"series {self.name!r}: timestamp must be finite, got {t}"
+            )
         if self.points:
             last_t = self.points[-1][0]
             if t < last_t:
@@ -170,15 +177,15 @@ class FlightRecorder:
         capacity: int = 4096,
         sample_horizon_s: Optional[float] = None,
     ) -> None:
-        if window_s <= 0:
+        if not 0 < window_s < math.inf:
             raise ObservabilityError(
-                f"recorder window_s must be positive, got {window_s}"
+                f"recorder window_s must be positive and finite, got {window_s}"
             )
         if capacity < 1:
             raise ObservabilityError(
                 f"recorder capacity must be at least 1, got {capacity}"
             )
-        if sample_horizon_s is not None and sample_horizon_s <= 0:
+        if sample_horizon_s is not None and not sample_horizon_s > 0:
             raise ObservabilityError(
                 f"recorder sample_horizon_s must be positive, "
                 f"got {sample_horizon_s}"
@@ -247,6 +254,10 @@ class FlightRecorder:
                 f"rate series {name!r} increment must be non-negative, "
                 f"got {amount}"
             )
+        if not math.isfinite(t):
+            raise ObservabilityError(
+                f"rate series {name!r}: timestamp must be finite, got {t}"
+            )
         series = self._get_or_create(name, KIND_RATE)
         index = int(t // self.window_s)
         window = self._open_windows.get(name)
@@ -286,6 +297,10 @@ class FlightRecorder:
         simulated timestamp.  Idempotent enough for reporting: a flushed
         window restarts at ``now``'s window with a zero total.
         """
+        if not math.isfinite(now):
+            raise ObservabilityError(
+                f"recorder finalize: timestamp must be finite, got {now}"
+            )
         for name in sorted(self._open_windows):
             window = self._open_windows[name]
             series = self._series[name]
@@ -296,13 +311,30 @@ class FlightRecorder:
     # --- sliding-window statistics ------------------------------------------
 
     def window_values(self, name: str, now: float) -> List[float]:
-        """Values of ``name`` recorded within the horizon ending at ``now``."""
+        """Values of ``name`` recorded in ``[now - sample_horizon_s, now]``.
+
+        Oldest first, as recorded.  The scan walks back from the newest
+        point, skips any after ``now`` and stops at the first one
+        before the horizon, so it never visits the older part of the
+        ring: asked at the newest point's time, as the fleet does, it
+        costs O(points in the horizon).  That relies on the points
+        being in non-decreasing ``t``, which :meth:`TimeSeries.append`
+        enforces (finite timestamps only, never backwards).
+        """
+        if math.isnan(now):
+            raise ObservabilityError(
+                f"window of series {name!r}: now must not be NaN"
+            )
         horizon_start = now - self.sample_horizon_s
-        return [
-            value
-            for t, value in self.series(name)
-            if horizon_start <= t <= now
-        ]
+        values: List[float] = []
+        for t, value in reversed(self.series(name).points):
+            if t > now:
+                continue
+            if t < horizon_start:
+                break
+            values.append(value)
+        values.reverse()
+        return values
 
     def window_percentile(self, name: str, q: float, now: float) -> float:
         """The ``q``-th percentile of a sample series' recent horizon.

@@ -1,6 +1,7 @@
 """Traffic generator and SLO math: seeded, stable, numpy-exact."""
 
 import math
+import struct
 
 import numpy
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FleetError
+from repro.fleet.slo import sorted_percentile
 from repro.fleet import (
     SloSnapshot,
     TenantSpec,
@@ -139,6 +141,28 @@ class TestPercentile:
             percentile([], 50.0)
         with pytest.raises(FleetError):
             percentile([1.0], 101.0)
+        with pytest.raises(FleetError):
+            sorted_percentile([], 50.0)
+        with pytest.raises(FleetError):
+            sorted_percentile([1.0], -1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        samples=st.lists(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5])
+            | st.floats(min_value=-1e6, max_value=1e6,
+                        allow_nan=False, allow_infinity=False),
+            min_size=1, max_size=60,
+        ),
+        q=st.sampled_from([0.0, 50.0, 99.0, 100.0])
+        | st.floats(min_value=0.0, max_value=100.0),
+    )
+    def test_sorted_percentile_is_percentile_bit_for_bit(self, samples, q):
+        """Sorting once up front changes no bit, signed zeros included."""
+        ours = sorted_percentile(sorted(samples), q)
+        assert struct.pack("<d", ours) == struct.pack(
+            "<d", percentile(samples, q)
+        )
 
 
 class TestSloSnapshot:

@@ -1,5 +1,7 @@
 """The flight recorder: series semantics, alerts, and the Observability wiring."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,6 +48,17 @@ class TestTimeSeries:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ObservabilityError):
             TimeSeries("s", "ewma", capacity=8)
+
+    @pytest.mark.parametrize("kind", ["gauge", "samples", "rate"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_timestamp_rejected(self, kind, bad):
+        series = TimeSeries("s", kind, capacity=8)
+        with pytest.raises(ObservabilityError, match="finite"):
+            series.append(bad, 1.0)
+        series.append(1.0, 1.0)
+        with pytest.raises(ObservabilityError, match="finite"):
+            series.append(bad, 2.0)
+        assert list(series) == [(1.0, 1.0)]
 
 
 class TestFlightRecorder:
@@ -94,6 +107,96 @@ class TestFlightRecorder:
         with pytest.raises(ObservabilityError):
             recorder.count("r", 2.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_timestamps_rejected(self, bad):
+        recorder = FlightRecorder(window_s=1.0)
+        recorder.observe("s", 1.0, 1.0)
+        recorder.count("r", 1.0)
+        for record in (
+            lambda: recorder.observe("s", bad, 2.0),
+            lambda: recorder.gauge("g", bad, 2.0),
+            lambda: recorder.count("r", bad),
+            lambda: recorder.count("fresh", bad),
+            lambda: recorder.finalize(bad),
+        ):
+            with pytest.raises(ObservabilityError, match="finite"):
+                record()
+        # The rejected points left nothing behind, and the time-order
+        # check still holds after them (a stored NaN would disable it).
+        assert list(recorder.series("s")) == [(1.0, 1.0)]
+        with pytest.raises(ObservabilityError, match="backwards"):
+            recorder.observe("s", 0.5, 3.0)
+
+    def test_window_at_nan_now_rejected(self):
+        recorder = FlightRecorder(window_s=1.0)
+        recorder.observe("s", 1.0, 1.0)
+        with pytest.raises(ObservabilityError, match="NaN"):
+            recorder.window_values("s", math.nan)
+
+    @pytest.mark.parametrize("now", [-math.inf, math.inf])
+    def test_window_at_infinite_now_is_empty(self, now):
+        recorder = FlightRecorder(window_s=1.0)
+        recorder.observe("s", 1.0, 1.0)
+        assert recorder.window_values("s", now) == []
+
+    def test_window_values_edges(self):
+        recorder = FlightRecorder(window_s=1.0, sample_horizon_s=2.0)
+        for t, value in [(1.0, 10.0), (2.0, 20.0), (2.0, 21.0), (3.0, 30.0),
+                         (5.0, 50.0)]:
+            recorder.observe("s", t, value)
+        assert recorder.window_values("s", 0.5) == []
+        assert recorder.window_values("s", 2.0) == [10.0, 20.0, 21.0]
+        assert recorder.window_values("s", 2.5) == [10.0, 20.0, 21.0]
+        assert recorder.window_values("s", 3.0) == [10.0, 20.0, 21.0, 30.0]
+        assert recorder.window_values("s", 3.5) == [20.0, 21.0, 30.0]
+        assert recorder.window_values("s", 4.0) == [20.0, 21.0, 30.0]
+        assert recorder.window_values("s", 9.0) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        gaps=st.lists(
+            st.sampled_from([0.0, 0.25, 0.5, 1.0])
+            | st.floats(min_value=0.0, max_value=3.0),
+            min_size=1, max_size=48,
+        ),
+        start=st.sampled_from([-4.0, 0.0, 10.0]),
+        capacity=st.integers(min_value=1, max_value=20),
+        horizon=st.sampled_from([0.5, 1.0, 2.0])
+        | st.floats(min_value=0.01, max_value=10.0),
+        offsets=st.lists(
+            st.floats(min_value=-15.0, max_value=15.0), max_size=8,
+        ),
+    )
+    def test_back_scan_matches_full_ring_filter(
+        self, gaps, start, capacity, horizon, offsets
+    ):
+        """The back-scan returns exactly what a full-ring filter returns."""
+        recorder = FlightRecorder(
+            window_s=0.25, capacity=capacity, sample_horizon_s=horizon,
+        )
+        times = []
+        t = start
+        for index, gap in enumerate(gaps):
+            t += gap
+            times.append(t)
+            recorder.observe("lat", t, float(index))  # unique: order shows
+        kept = recorder.series("lat").times()
+        # Every recorded instant (evicted ones too), the horizon boundary
+        # landing exactly on each, the midpoints between them, and
+        # points before the first and after the last.
+        nows = set(times)
+        nows.update(t + horizon for t in times)
+        nows.update((a + b) / 2 for a, b in zip(kept, kept[1:]))
+        nows.update((kept[0] - 1.0, kept[-1] + 1.0, kept[-1] + horizon))
+        nows.update(kept[-1] + offset for offset in offsets)
+        for now in sorted(nows):
+            horizon_start = now - horizon
+            oracle = [
+                value for t, value in recorder.series("lat")
+                if horizon_start <= t <= now
+            ]
+            assert recorder.window_values("lat", now) == oracle, now
+
     def test_window_percentile_matches_slo_percentile(self):
         recorder = FlightRecorder(window_s=1.0, sample_horizon_s=4.0)
         samples = [(0.0, 9.0), (7.0, 1.0), (8.0, 2.0), (9.0, 3.0), (10.0, 4.0)]
@@ -135,6 +238,11 @@ class TestFlightRecorder:
             FlightRecorder(capacity=0)
         with pytest.raises(ObservabilityError):
             FlightRecorder(sample_horizon_s=-1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ObservabilityError):
+                FlightRecorder(window_s=bad)
+        with pytest.raises(ObservabilityError):
+            FlightRecorder(sample_horizon_s=math.nan)
 
 
 class TestSparkline:
