@@ -21,14 +21,12 @@ scripts.  The perf gate (:mod:`repro.perfgate`) reads either.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import json
 from pathlib import Path
 from typing import Optional
 
 from repro import __version__
-from repro.config import DEFAULT_CONFIG
+from repro.config import config_hash
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -43,20 +41,6 @@ _SCHEMA_VERSION = 2
 
 #: Envelope keys stripped before merging so a v1 file upgrades cleanly.
 _ENVELOPE_KEYS = ("schema_version", "meta")
-
-
-def config_hash() -> str:
-    """A describable fingerprint of the default platform parameters.
-
-    Two results files with the same hash were produced by the same
-    simulated platform, so their simulated seconds are comparable
-    exactly; a hash change flags that a baseline refresh reflects a
-    deliberate model change rather than noise.
-    """
-    payload = json.dumps(
-        dataclasses.asdict(DEFAULT_CONFIG), sort_keys=True, default=str
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 
 def run_once(benchmark, fn):

@@ -16,6 +16,8 @@ see DESIGN.md §5 for the calibration rationale of each value.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -310,3 +312,17 @@ class SystemConfig:
 
 #: Default platform used by tests, examples and benchmarks.
 DEFAULT_CONFIG = SystemConfig()
+
+
+def config_hash() -> str:
+    """A short fingerprint of the default platform's parameters.
+
+    Benchmark results stamp it in their envelope: two results with the
+    same hash were produced by the same simulated platform, so their
+    simulated seconds compare exactly, and a changed hash flags a
+    deliberate model change.
+    """
+    payload = json.dumps(
+        dataclasses.asdict(DEFAULT_CONFIG), sort_keys=True, default=str
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]

@@ -855,7 +855,7 @@ class Fleet:
                 self.obs.count(f"obs.alerts.{event.rule}")
 
         return self._build_report(
-            tenants, arrivals, outcomes, device_events, now,
+            tenants, arrivals, outcomes, device_events,
             recorder=rec, alerts=alerts, targets=targets,
             trace_spans=tuple(trace_spans),
             trace_instants=tuple(trace_instants),
@@ -869,7 +869,6 @@ class Fleet:
         arrivals: Tuple[JobArrival, ...],
         outcomes: Dict[int, JobOutcome],
         device_events: List[Tuple[float, str, str]],
-        end_time: float,
         recorder=None,
         alerts: Tuple[AlertEvent, ...] = (),
         targets: Optional[Dict[str, float]] = None,
@@ -916,8 +915,11 @@ class Fleet:
                 f"fleet.slo.{tenant.name}.end_to_end_p99_s",
                 snapshot.end_to_end_p99_s,
             )
+        # From the first arrival to the last job's terminal event: events
+        # the loop pops after it (a scheduled device rejoin) do not count.
         first_arrival = arrivals[0].arrival_time
-        makespan = max(end_time - first_arrival, 0.0)
+        last_finish = max(o.finish_time for o in ordered)
+        makespan = max(last_finish - first_arrival, 0.0)
         finished_jobs = sum(1 for o in ordered if o.status != STATUS_SHED)
         throughput = finished_jobs / makespan if makespan > 0 else 0.0
         self.obs.gauge("fleet.makespan_s", makespan)

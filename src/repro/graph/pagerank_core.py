@@ -56,24 +56,25 @@ def pagerank(
     n = matrix.n_rows
     out_degree = matrix.out_degree().astype(np.float64)
     safe_degree = np.maximum(out_degree, 1.0)
+    dangling_rows = out_degree == 0
     ranks = np.full(n, 1.0 / n)
-    # The COO row vector is loop-invariant; expand it once, not per sweep.
+    # Loop-invariant: the COO row vector, and the column indices as the
+    # intp that bincount would otherwise cast them to on every sweep.
     rows = _expand_rows(matrix)
+    cols = matrix.indices.astype(np.intp, casting="safe", copy=False)
     for _ in range(iterations):
         contrib = ranks / safe_degree
         # Push each vertex's share along its out-edges: y[d] += c[s].
         # Weighted bincount accumulates per destination in element
         # order, bit-identical to the former np.add.at scatter.
-        incoming = np.bincount(
-            matrix.indices, weights=contrib[rows], minlength=n
-        )
+        incoming = np.bincount(cols, weights=contrib[rows], minlength=n)
         new_ranks = (1.0 - damping) / n + damping * incoming
         # Redistribute dangling-node mass uniformly.
-        dangling = ranks[out_degree == 0].sum()
+        dangling = ranks[dangling_rows].sum()
         new_ranks += damping * dangling / n
-        delta = float(np.abs(new_ranks - ranks).sum())
+        converged = bool(tol) and float(np.abs(new_ranks - ranks).sum()) < tol
         ranks = new_ranks
-        if tol and delta < tol:
+        if converged:
             break
     return ranks / ranks.sum()
 

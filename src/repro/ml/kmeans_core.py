@@ -77,9 +77,16 @@ def kmeans_assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         )
     # ||p - c||^2 = ||p||^2 - 2 p.c + ||c||^2; the ||p||^2 term is
     # constant per point and does not affect the argmin.
-    cross = points @ centroids.T
     c_norms = np.einsum("kd,kd->k", centroids, centroids)
-    return np.argmin(c_norms[None, :] - 2.0 * cross, axis=1)
+    # -2 (p.c) + ||c||^2 in one n x k buffer: doubling is exact and IEEE
+    # addition commutes, so it is bit-identical to ||c||^2 - 2.0 * (p.c).
+    scores = points @ centroids.T
+    if scores.dtype.kind == "f":
+        scores *= -2.0
+    else:
+        scores = scores * -2.0
+    scores += c_norms
+    return np.argmin(scores, axis=1)
 
 
 def kmeans_update(

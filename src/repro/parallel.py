@@ -6,7 +6,8 @@ function over a list of items on a
 input order, so for a deterministic function the result equals the
 serial comprehension.  Chaos campaigns (``run_campaign(...,
 workers=N)``, ``run_fleet_campaign(..., workers=N)``) and the plan
-search's step table run on them.
+search's step table run on them; the sampling phase forks its one
+child through :func:`fork_context`.
 
 Workers are started with ``fork`` where the platform has it, so state
 the parent installs in a module global before the pool starts (a warm
@@ -26,6 +27,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "default_workers",
+    "fork_context",
     "merge_metric_snapshots",
     "ordered_pool_imap",
     "ordered_pool_map",
@@ -40,14 +42,27 @@ def default_workers() -> int:
 def _pool_context() -> BaseContext:
     """Prefer ``fork`` (inherits parent state); fall back to spawn."""
     # multiprocessing and concurrent.futures are imported only when a
-    # pool starts: the chaos runner and plan search import this module,
-    # and most processes that do never start a pool.
+    # process starts: the chaos runner, plan search and sampling phase
+    # import this module, and most processes that do never start one.
     import multiprocessing
 
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
         return multiprocessing.get_context()
+
+
+def fork_context() -> Optional[BaseContext]:
+    """The ``fork`` context when fork is this process's start method.
+
+    That is the method set with ``multiprocessing.set_start_method``, or
+    the platform's default when none was set; None otherwise.
+    """
+    import multiprocessing
+
+    method = (multiprocessing.get_start_method(allow_none=True)
+              or multiprocessing.get_all_start_methods()[0])
+    return multiprocessing.get_context("fork") if method == "fork" else None
 
 
 def ordered_pool_imap(

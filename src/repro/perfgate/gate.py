@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from ..config import config_hash
 from ..errors import ReproError
 
 __all__ = [
@@ -225,10 +226,13 @@ class GateReport:
     deviations: List[Deviation] = field(default_factory=list)
     missing_results: List[str] = field(default_factory=list)
     missing_metrics: List[str] = field(default_factory=list)
+    #: Benches whose results carry another platform's ``config_hash``.
+    stale_config: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not (self.deviations or self.missing_results or self.missing_metrics)
+        return not (self.deviations or self.missing_results
+                    or self.missing_metrics or self.stale_config)
 
     def render(self) -> str:
         lines = [
@@ -242,6 +246,8 @@ class GateReport:
             )
         for path in self.missing_metrics:
             lines.append(f"  MISSING metric {path} in fresh results")
+        for stale in self.stale_config:
+            lines.append(f"  STALE config {stale} — regenerate the results")
         for deviation in self.deviations:
             lines.append(f"  {deviation.render()}")
         lines.append("PASS" if self.ok else "FAIL")
@@ -265,6 +271,7 @@ class GateReport:
             ],
             "missing_results": list(self.missing_results),
             "missing_metrics": list(self.missing_metrics),
+            "stale_config": list(self.stale_config),
         }
 
 
@@ -331,9 +338,12 @@ def check(
     ``planted_regression`` perturbs every fresh value *in memory* (50%
     worse) before comparing — the CI smoke test that proves the gate
     can actually fail.  Baselines with no committed file are reported
-    as missing rather than silently passing.
+    as missing rather than silently passing, and results whose envelope
+    names another platform's ``config_hash`` as stale: their simulated
+    seconds do not describe the current config.
     """
     baselines_dir = baselines_dir or root / BASELINE_DIR_NAME
+    current_hash = config_hash()
     report = GateReport()
     for bench in sorted(GATED_METRICS):
         baseline_path = _baseline_path(baselines_dir, bench)
@@ -348,6 +358,12 @@ def check(
         if results is None:
             report.missing_results.append(bench)
             continue
+        recorded = results.get("meta", {}).get("config_hash")
+        if recorded is not None and recorded != current_hash:
+            report.stale_config.append(
+                f"{bench}: results carry config_hash {recorded}, the "
+                f"current config hashes to {current_hash}"
+            )
         for path, spec in sorted(baseline.get("metrics", {}).items()):
             value = spec["value"]
             metric = GatedMetric(

@@ -23,7 +23,7 @@ keeps every downstream ratio identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -90,19 +90,37 @@ class LineProfiler:
         self.config = config
         self._noise_rng = np.random.default_rng(config.profiler_noise_seed)
 
-    def _jitter(self) -> float:
-        if self.config.profiler_noise <= 0:
-            return 1.0
-        factor = 1.0 + self._noise_rng.normal(0.0, self.config.profiler_noise)
-        return max(0.1, factor)
+    def draw_jitters(self, runs: int, lines: int) -> List[Optional[np.ndarray]]:
+        """Multiplicative jitters for ``runs`` profiled runs of ``lines`` lines.
 
-    def profile(self, program: Program, dataset: Dataset) -> List[LineRecord]:
+        Row ``r`` holds run ``r``'s jitters: line by line, the compute
+        time's then the data-access time's.  They come from one vector
+        draw, which yields the same values, and leaves the generator in
+        the same state, as drawing them one at a time in that order.  A
+        run without noise gets ``None``.
+        """
+        if self.config.profiler_noise <= 0:
+            return [None] * runs
+        draws = self._noise_rng.normal(
+            0.0, self.config.profiler_noise, size=(runs, 2 * lines)
+        )
+        return list(np.maximum(0.1, 1.0 + draws))
+
+    def profile(
+        self,
+        program: Program,
+        dataset: Dataset,
+        jitters: Optional[np.ndarray] = None,
+    ) -> List[LineRecord]:
         """Execute every line on the dataset's real payload; observe.
 
-        Returns one :class:`LineRecord` per line.  Raises
-        :class:`~repro.errors.SamplingError` if a kernel fails — a
-        sample input that crashes the program cannot guide planning.
+        Returns one :class:`LineRecord` per line.  ``jitters`` is one
+        row of :meth:`draw_jitters`; without it the run draws its own.
+        Raises :class:`~repro.errors.SamplingError` if a kernel fails —
+        a sample input that crashes the program cannot guide planning.
         """
+        if jitters is None:
+            (jitters,) = self.draw_jitters(1, len(program))
         n = dataset.n_records
         payload = dataset.payload
         records: List[LineRecord] = []
@@ -121,8 +139,11 @@ class LineProfiler:
                 )
             measured_output = payload_nbytes(payload)
             storage = statement.storage_bytes(n)
-            compute = statement.instructions(n) / self.config.host_ips * self._jitter()
-            data_access = storage / self.config.bw_host_storage * self._jitter()
+            compute = statement.instructions(n) / self.config.host_ips
+            data_access = storage / self.config.bw_host_storage
+            if jitters is not None:
+                compute *= jitters[2 * index]
+                data_access *= jitters[2 * index + 1]
             records.append(
                 LineRecord(
                     index=index,

@@ -31,13 +31,11 @@ import os
 import tempfile
 import time
 from contextlib import contextmanager
-from dataclasses import asdict
-from hashlib import sha256
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 from .chaos.campaign import CampaignConfig, run_campaign
-from .config import DEFAULT_CONFIG
+from .config import DEFAULT_CONFIG, config_hash
 from .errors import ReproError
 from .hw.topology import build_machine
 from .runtime.activepy import ActivePy
@@ -193,11 +191,6 @@ def run_wall_bench(
     }
 
 
-def _config_hash() -> str:
-    payload = json.dumps(asdict(DEFAULT_CONFIG), sort_keys=True, default=str)
-    return sha256(payload.encode("utf-8")).hexdigest()[:12]
-
-
 def write_wall_bench(
     payload: Dict[str, Any],
     root: Optional[Path] = None,
@@ -235,7 +228,7 @@ def write_wall_bench(
         "schema_version": _SCHEMA_VERSION,
         "meta": {
             "bench": "wall",
-            "config_hash": _config_hash(),
+            "config_hash": config_hash(),
             "repro_version": __version__,
             "cpu_count": os.cpu_count(),
             "workers": workers,

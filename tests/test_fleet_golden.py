@@ -15,7 +15,9 @@ SHA-256 of its canonical ``FleetReport.to_jsonable()`` in four cases:
   past the oldest point kept.
 
 The digests were recorded before the recorder's per-completion window
-was changed to scan back from the newest point.
+was changed to scan back from the newest point, then re-pinned when
+``makespan_s`` stopped counting the scheduled device rejoin (only the
+makespan, the throughput and their two gauges moved).
 """
 
 from __future__ import annotations
@@ -40,10 +42,10 @@ LOSS = FaultSpec(
 CAPACITY = {"off": None, "on": 4096, "ring64": 64, "ring4": 4}
 
 GOLDEN = {
-    "off": "dae06202ff8d3eb6de45703a7c58e4cb2a7e0951c18f259fc35284ecd9cd51fe",
-    "on": "e2950128f8f9b7d18010a93f8ff0dbe505d6ad6d7b79b6a3efc080e2e11080e2",
-    "ring64": "68c271d7adc18199e0f1453e699744f7c6f7039c1b173a7b4c0b25a01d9c987b",
-    "ring4": "b9283cca3324f810c2eaf72d0290048ce0c5866f4db2cb36c751c6a439c06528",
+    "off": "03f214d67e47673bd2d83364758668cfaa64b57b74ff391ba41a78c4b69048e5",
+    "on": "29c1e79f6fe3d797b173ca465df2e6833be72a1ba3bb3553c5cee6181ea7dc44",
+    "ring64": "5873d93f93a1e4efc4fd13034b5429a1b0420c2a11c2c081ae640567a6c0329c",
+    "ring4": "eb2ca0f3f7c84deca8125574fbec37c039b7b860d5b1d78dffbacca4995e45ab",
 }
 
 
@@ -52,14 +54,14 @@ def canonical_digest(payload) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def run_report(case: str):
+def run_report(case: str, jobs: int = JOBS):
     capacity = CAPACITY[case]
     obs = (
         Observability.with_timeseries(window_s=WINDOW_S, capacity=capacity)
         if capacity is not None else None
     )
     config = FleetConfig(
-        job_count=JOBS, seed=0, plan=FaultPlan(specs=(LOSS,), seed=0),
+        job_count=jobs, seed=0, plan=FaultPlan(specs=(LOSS,), seed=0),
     )
     return Fleet(config, obs=obs).run()
 
@@ -79,3 +81,17 @@ def test_fleet_report_is_bit_identical(case):
         for name, series in report.timeline["series"].items():
             if name.startswith("fleet.e2e."):
                 assert len(series["points"]) == CAPACITY[case], name
+
+
+def test_makespan_ends_at_the_last_terminal_event():
+    # Both runs end long before csd1 rejoins at 180 s, so the rejoin
+    # event the loop still pops must not set their makespans.
+    makespans = []
+    for jobs in (600, JOBS):
+        report = run_report("off", jobs)
+        first_arrival = min(o.arrival_time for o in report.outcomes)
+        last_finish = max(o.finish_time for o in report.outcomes)
+        assert report.makespan_s == last_finish - first_arrival
+        assert last_finish < LOSS.at_time + LOSS.duration_s
+        makespans.append(report.makespan_s)
+    assert makespans[0] < makespans[1]

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
 from repro.graph.csr import CSRMatrix
-from repro.graph.pagerank_core import spmv
+from repro.graph.pagerank_core import _expand_rows, pagerank, spmv
 from repro.ml.gbdt import (
     GBDTModel,
     GBDTRegressor,
@@ -26,7 +26,8 @@ from repro.ml.gbdt import (
     _grow_tree,
     quantise_features,
 )
-from repro.ml.kmeans_core import kmeans_update
+from repro.ml.kmeans_core import kmeans_assign, kmeans_update
+from repro.workloads.pagerank import _k_build_csr
 from repro.workloads.sparsemv import SWEEPS, _k_sweeps
 
 
@@ -126,6 +127,52 @@ def _spmv_oracle(matrix: CSRMatrix, x: np.ndarray) -> np.ndarray:
         np.arange(matrix.n_rows, dtype=np.int64), np.diff(matrix.indptr)
     )
     return np.bincount(rows, weights=products, minlength=matrix.n_rows)
+
+
+def _pagerank_oracle(
+    matrix: CSRMatrix,
+    damping: float = 0.85,
+    iterations: int = 20,
+    tol: float = 0.0,
+) -> np.ndarray:
+    n = matrix.n_rows
+    out_degree = matrix.out_degree().astype(np.float64)
+    safe_degree = np.maximum(out_degree, 1.0)
+    ranks = np.full(n, 1.0 / n)
+    rows = _expand_rows(matrix)
+    for _ in range(iterations):
+        contrib = ranks / safe_degree
+        incoming = np.bincount(
+            matrix.indices, weights=contrib[rows], minlength=n
+        )
+        new_ranks = (1.0 - damping) / n + damping * incoming
+        dangling = ranks[out_degree == 0].sum()
+        new_ranks += damping * dangling / n
+        delta = float(np.abs(new_ranks - ranks).sum())
+        ranks = new_ranks
+        if tol and delta < tol:
+            break
+    return ranks / ranks.sum()
+
+
+def _kmeans_assign_oracle(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    cross = points @ centroids.T
+    c_norms = np.einsum("kd,kd->k", centroids, centroids)
+    return np.argmin(c_norms[None, :] - 2.0 * cross, axis=1)
+
+
+def _build_csr_oracle(p):
+    vertices, flat = np.unique(
+        np.concatenate([p["src"], p["dst"]]), return_inverse=True
+    )
+    n_rows = vertices.size
+    src = flat[: p["src"].size].astype(np.int64)
+    dst = flat[p["src"].size:].astype(np.int32)
+    order = np.argsort(src, kind="stable")
+    counts = np.bincount(src, minlength=n_rows)
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return {"indptr": indptr, "indices": dst[order]}
 
 
 def _sweeps_oracle(p):
@@ -249,6 +296,50 @@ def kmeans_cases(draw):
     return points, labels, k
 
 
+@st.composite
+def edge_lists(draw):
+    """Edge lists with repeated edges, self loops and sparse, huge ids."""
+    m = draw(st.integers(min_value=1, max_value=300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.integers(0, draw(st.sampled_from([1, 3, 50, 2**62])),
+                        size=draw(st.integers(1, 40)))
+    src = rng.choice(pool, size=m).astype(np.int64)
+    dst = rng.choice(pool, size=m).astype(np.int64)
+    if draw(st.booleans()):
+        dst[: m // 2] = src[: m // 2]  # self loops
+    return {"src": src, "dst": dst}
+
+
+@st.composite
+def assign_cases(draw):
+    """Points and centroids with exact ties, +-inf, NaN and float32."""
+    n = draw(st.integers(min_value=1, max_value=200))
+    d = draw(st.integers(min_value=1, max_value=5))
+    k = draw(st.integers(min_value=1, max_value=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.normal(0.0, 1.0, size=(n, d)) * 10.0 ** rng.integers(
+        -6, 7, size=(n, d)
+    )
+    centroids = rng.normal(0.0, 1.0, size=(k, d))
+    if draw(st.booleans()):
+        # Small integers: many points equidistant from several centroids.
+        points = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+        centroids = rng.integers(-2, 3, size=(k, d)).astype(np.float64)
+    if k > 1 and draw(st.booleans()):
+        centroids[-1] = centroids[0]  # a duplicated centroid ties exactly
+    mask = rng.random(size=(n, d)) < draw(st.sampled_from([0.0, 0.05]))
+    points[mask] = rng.choice([np.inf, -np.inf, np.nan], size=int(mask.sum()))
+    if draw(st.booleans()):
+        centroids[rng.integers(k), rng.integers(d)] = draw(
+            st.sampled_from([np.inf, -np.inf, np.nan])
+        )
+    points = points.astype(draw(st.sampled_from([np.float64, np.float32])))
+    centroids = centroids.astype(draw(st.sampled_from([np.float64, np.float32])))
+    if draw(st.booleans()):
+        points = np.asfortranarray(points)
+    return points, centroids
+
+
 # --- oracle equality ------------------------------------------------------------
 
 @given(binning_cases())
@@ -344,3 +435,48 @@ def test_sparsemv_sweeps_match_oracle(case):
          "values": matrix.values}
     assert _k_sweeps(p)["x"].tobytes() == _sweeps_oracle(p)["x"].tobytes()
 
+
+
+@given(csr_cases(), st.sampled_from([0.0, 1e-12, 1e-3, 0.5]),
+       st.integers(min_value=1, max_value=30))
+@settings(max_examples=80, deadline=None)
+def test_pagerank_matches_per_sweep_cast(case, tol, iterations):
+    # The strategy's empty rows are dangling vertices; tol > 0 covers the
+    # early exit, and an all-empty matrix covers nnz == 0.
+    matrix, _ = case
+    with np.errstate(invalid="ignore", divide="ignore"):
+        got = pagerank(matrix, iterations=iterations, tol=tol)
+        expected = _pagerank_oracle(matrix, iterations=iterations, tol=tol)
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_pagerank_tol_exits_early():
+    n = 30
+    indptr = np.arange(n + 1, dtype=np.int64)
+    indices = ((np.arange(n) + 1) % n).astype(np.int32)  # a ring converges
+    matrix = CSRMatrix(indptr=indptr, indices=indices, values=np.ones(n))
+    got = pagerank(matrix, iterations=50, tol=1e-9)
+    assert got.tobytes() == _pagerank_oracle(
+        matrix, iterations=50, tol=1e-9).tobytes()
+    assert got.tobytes() == pagerank(matrix, iterations=1).tobytes()
+
+
+@given(assign_cases())
+@settings(max_examples=150, deadline=None)
+def test_kmeans_assign_matches_two_temporaries(case):
+    points, centroids = case
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = kmeans_assign(points, centroids)
+        expected = _kmeans_assign_oracle(points, centroids)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+
+
+@given(edge_lists())
+@settings(max_examples=120, deadline=None)
+def test_build_csr_matches_unique_inverse(p):
+    got, expected = _k_build_csr(p), _build_csr_oracle(p)
+    assert sorted(got) == sorted(expected)
+    for key, array in expected.items():
+        assert got[key].dtype == array.dtype
+        assert got[key].tobytes() == array.tobytes()

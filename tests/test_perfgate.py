@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.config import config_hash
 from repro.perfgate import (
     GATED_METRICS,
     GatedMetric,
@@ -169,6 +170,25 @@ class TestMissingPieces:
         report = check(tmp_path)
         assert not report.ok
         assert any("attribution" in m for m in report.missing_metrics)
+
+    def test_check_reports_results_from_another_config(self, tmp_path):
+        _full_results(tmp_path)
+        snapshot(tmp_path)
+        path = tmp_path / "bench_results" / "BENCH_fleet.json"
+        payload = json.loads(path.read_text())
+        payload["meta"] = {"bench": "fleet", "config_hash": config_hash()}
+        _write_results(tmp_path, "fleet", payload)
+        assert check(tmp_path).ok
+        payload["meta"]["config_hash"] = "3e89b1a7fc95"
+        _write_results(tmp_path, "fleet", payload)
+        report = check(tmp_path)
+        assert not report.ok
+        assert not report.deviations and not report.missing_metrics
+        [stale] = report.stale_config
+        assert stale.startswith("fleet:") and "3e89b1a7fc95" in stale
+        assert config_hash() in stale
+        assert "STALE config fleet:" in report.render()
+        assert report.to_jsonable()["stale_config"] == [stale]
 
     def test_unreadable_results_raise(self, tmp_path):
         (tmp_path / "bench_results").mkdir()
